@@ -67,7 +67,7 @@ WireResult RunWireClosedLoop(uint16_t port, const std::vector<Query>& queries, i
   WireResult result;
   result.conns = conns;
   result.batch = batch;
-  std::vector<net::LatencyHistogram> hists(static_cast<size_t>(conns));
+  std::vector<LatencyHistogram> hists(static_cast<size_t>(conns));
   std::vector<uint64_t> served(static_cast<size_t>(conns), 0);
   std::atomic<bool> failed{false};
   const std::vector<Query> frame(queries.begin(), queries.begin() + batch);
@@ -103,7 +103,7 @@ WireResult RunWireClosedLoop(uint16_t port, const std::vector<Query>& queries, i
     std::fprintf(stderr, "bench_net: wire run failed (conns=%d batch=%d)\n", conns, batch);
     std::exit(1);
   }
-  net::LatencyHistogram merged;
+  LatencyHistogram merged;
   uint64_t total = 0;
   for (int c = 0; c < conns; ++c) {
     merged.MergeFrom(hists[static_cast<size_t>(c)]);
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
     const int conns = clients;
     offered_qps = std::max(offered_qps, 100.0);
     const double per_conn_qps = offered_qps / conns;
-    std::vector<net::LatencyHistogram> hists(static_cast<size_t>(conns));
+    std::vector<LatencyHistogram> hists(static_cast<size_t>(conns));
     std::vector<uint64_t> served(static_cast<size_t>(conns), 0);
     std::atomic<bool> failed{false};
     const Clock::time_point start = Clock::now();
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_net: open-loop run failed\n");
       return 1;
     }
-    net::LatencyHistogram merged;
+    LatencyHistogram merged;
     uint64_t total = 0;
     for (int c = 0; c < conns; ++c) {
       merged.MergeFrom(hists[static_cast<size_t>(c)]);

@@ -107,7 +107,6 @@ int main(int argc, char** argv) {
     topt.batch_size = 128;
     core::DuetTrainer(model, topt).Train();
     model.SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-    model.SetPlanEnabled(true);
     model.EstimateSelectivityBatch({query::Query{}});  // compile the plan
     const std::string path = "/tmp/duet_bench_plancost_" + std::to_string(::getpid()) +
                              "_" + std::to_string(t) + ".duet";

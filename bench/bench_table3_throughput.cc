@@ -11,12 +11,11 @@
 //    workers x the same batch sizes), with a bitwise sharded-vs-single-
 //    thread equality check, and
 //  * a packed-weight backend sweep (dense fp32 / CSR sparse / int8 / f16 /
-//    int4), A/B'd over compiled-plan execution (--plan=on,off): batch-1 and
-//    batch-64 queries/sec per (plan, backend) row, the packed-cache and
-//    plan footprints, plan compile time / cache hits, and the median
-//    q-error delta vs the fp32 path on the seeded workload (exactly 0 for
-//    CSR, bounded for int8/f16/int4) — so the plan win is measured, not
-//    asserted, and
+//    int4) through the compiled inference plan: batch-1 and batch-64
+//    queries/sec per backend, the plan's packed-weight footprint, plan
+//    compile time / cache hits, and the median q-error delta vs the fp32
+//    path on the seeded workload (exactly 0 for CSR, bounded for
+//    int8/f16/int4), and
 //  * a cross-request fusion A/B through the async micro-batcher: the same
 //    batch-1 submission stream with GEMV->GEMM fusion on vs off, with a
 //    bitwise per-request identity check between the two arms (fusion
@@ -44,7 +43,7 @@
 // Flags: --datasets=census,kdd,dmv --batch=N --sweep_queries=N
 //        --sweep_min_seconds=S --sweep=0|1 --sweep_scalar=0|1
 //        --sweep_hidden=N --backend=dense,csr,int8,f16,int4 --backend_hidden=N
-//        --plan=on,off --live_update --live_hidden=N --live_queries=N
+//        --live_update --live_hidden=N --live_queries=N
 //        --live_publishes=N --live_min_seconds=S --live_max_seconds=S
 //        --overload --overload_hidden=N --overload_workers=N
 //        --overload_seconds=S
@@ -305,11 +304,9 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   // bitwise backend; int8 is quantization-bounded).
   struct BackendRow {
     tensor::WeightBackend backend;
-    bool plan = true;  // compiled-plan execution on/off for this row
     double qps_b1 = 0.0;
     double qps_b64 = 0.0;
     uint64_t packed_bytes = 0;
-    uint64_t plan_bytes = 0;
     double median_qerror = 0.0;
     double qerror_delta = 0.0;  // (median - dense median) / dense median
   };
@@ -345,31 +342,6 @@ void RunInferenceSweep(const Flags& flags, double scale) {
     std::exit(1);  // same policy as unknown tokens: no silent skip
   }
 
-  // --plan: comma-separated subset of on,off — the compiled-plan A/B. Each
-  // backend is measured under every selected mode, so the plan win shows up
-  // as two JSON rows per backend instead of a claim.
-  const std::string plan_list = flags.GetString("plan", "on,off");
-  std::vector<bool> plan_modes;
-  for (size_t pos = 0; pos <= plan_list.size();) {
-    size_t comma = plan_list.find(',', pos);
-    if (comma == std::string::npos) comma = plan_list.size();
-    const std::string token = plan_list.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (token.empty()) continue;
-    if (token == "on") {
-      plan_modes.push_back(true);
-    } else if (token == "off") {
-      plan_modes.push_back(false);
-    } else {
-      std::fprintf(stderr, "unknown --plan entry '%s' (expected on,off)\n", token.c_str());
-      std::exit(1);  // same no-silent-skip policy as --backend
-    }
-  }
-  if (plan_modes.empty()) {
-    std::fprintf(stderr, "--plan selected no modes (got '%s')\n", plan_list.c_str());
-    std::exit(1);
-  }
-
   query::WorkloadSpec lspec;
   lspec.num_queries = static_cast<int>(num_queries);
   lspec.seed = 1234;
@@ -393,36 +365,29 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   core::DuetEstimator best(bmodel);
 
   std::vector<BackendRow> brows;
-  for (bool plan_on : plan_modes) {
-    bmodel.SetPlanEnabled(plan_on);
-    for (tensor::WeightBackend backend : backends) {
-      BackendRow row;
-      row.backend = backend;
-      row.plan = plan_on;
-      bmodel.SetInferenceBackend(backend);
-      row.qps_b1 = MeasureBatchedQps(best, queries, 1, min_seconds);
-      row.qps_b64 = MeasureBatchedQps(best, queries, 64, min_seconds);
-      row.packed_bytes = bmodel.CachedBytes();
-      row.plan_bytes = bmodel.PlanBytes();
-      const std::vector<double> sels = best.EstimateSelectivityBatch(lqueries);
-      std::vector<double> qerrs;
-      qerrs.reserve(sels.size());
-      for (size_t i = 0; i < sels.size(); ++i) {
-        const double card =
-            std::max(1.0, query::CardinalityEstimator::ClampSelectivity(sels[i]) * rows_n);
-        qerrs.push_back(query::QError(card, static_cast<double>(labeled[i].cardinality)));
-      }
-      std::sort(qerrs.begin(), qerrs.end());
-      row.median_qerror = qerrs.empty() ? 0.0 : qerrs[qerrs.size() / 2];
-      brows.push_back(row);
+  for (tensor::WeightBackend backend : backends) {
+    BackendRow row;
+    row.backend = backend;
+    bmodel.SetInferenceBackend(backend);
+    row.qps_b1 = MeasureBatchedQps(best, queries, 1, min_seconds);
+    row.qps_b64 = MeasureBatchedQps(best, queries, 64, min_seconds);
+    row.packed_bytes = bmodel.CachedBytes();
+    const std::vector<double> sels = best.EstimateSelectivityBatch(lqueries);
+    std::vector<double> qerrs;
+    qerrs.reserve(sels.size());
+    for (size_t i = 0; i < sels.size(); ++i) {
+      const double card =
+          std::max(1.0, query::CardinalityEstimator::ClampSelectivity(sels[i]) * rows_n);
+      qerrs.push_back(query::QError(card, static_cast<double>(labeled[i].cardinality)));
     }
+    std::sort(qerrs.begin(), qerrs.end());
+    row.median_qerror = qerrs.empty() ? 0.0 : qerrs[qerrs.size() / 2];
+    brows.push_back(row);
   }
-  bmodel.SetPlanEnabled(true);  // restore the default
 
-  // Deltas are anchored on the first dense (fp32) row wherever it ran in
-  // the sweep order (dense is bitwise-invariant to the plan toggle, so any
-  // dense row anchors both modes); without a dense row there is no
-  // reference and the field is omitted from the JSON below.
+  // Deltas are anchored on the dense (fp32) row wherever it ran in the
+  // sweep order; without a dense row there is no reference and the field is
+  // omitted from the JSON below.
   bool have_dense = false;
   double dense_median = 0.0;
   for (const BackendRow& row : brows) {
@@ -434,16 +399,14 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   }
   std::printf("\nPacked-weight backend sweep (1 thread, %lld queries, 2x%lld ResMADE)\n",
               static_cast<long long>(num_queries), static_cast<long long>(backend_hidden));
-  std::printf("%-8s %-5s %14s %14s %12s %10s %14s\n", "backend", "plan", "batch-1 q/s",
-              "batch-64 q/s", "packed KiB", "plan KiB", "qerr delta");
+  std::printf("%-8s %14s %14s %12s %14s\n", "backend", "batch-1 q/s", "batch-64 q/s",
+              "packed KiB", "qerr delta");
   for (BackendRow& row : brows) {
     row.qerror_delta = have_dense && dense_median > 0.0
                            ? (row.median_qerror - dense_median) / dense_median
                            : 0.0;
-    std::printf("%-8s %-5s %14.1f %14.1f %12.1f %10.1f ",
-                tensor::WeightBackendName(row.backend), row.plan ? "on" : "off", row.qps_b1,
-                row.qps_b64, static_cast<double>(row.packed_bytes) / 1024.0,
-                static_cast<double>(row.plan_bytes) / 1024.0);
+    std::printf("%-8s %14.1f %14.1f %12.1f ", tensor::WeightBackendName(row.backend),
+                row.qps_b1, row.qps_b64, static_cast<double>(row.packed_bytes) / 1024.0);
     if (have_dense) {
       std::printf("%+13.4f%%\n", 100.0 * row.qerror_delta);
     } else {
@@ -512,33 +475,27 @@ void RunInferenceSweep(const Flags& flags, double scale) {
                 "],\"speedup_w4_vs_w1_batch64\":%.2f,\"sharded_bitwise_equal\":%s}",
                 serving_qps[2][2] / serving_qps[0][2], bitwise_equal ? "true" : "false");
   json += tail2;
-  // Backend sweep: one row per (plan mode, packed-weight backend).
-  // qerror_delta is relative to the dense (fp32) median q-error;
-  // best_nondense_b1_speedup is the best non-dense batch-1 throughput over
-  // dense within the plan=on rows (falling back to whatever mode ran — the
-  // ROADMAP's weight-traffic lever, expected > 1 from CSR/int8/f16);
-  // plan_b1_speedup_best is the best per-backend batch-1 ratio of plan=on
-  // over plan=off (the compiled-plan lever, only present when both modes
-  // ran).
+  // Backend sweep: one row per packed-weight backend. qerror_delta is
+  // relative to the dense (fp32) median q-error; best_nondense_b1_speedup is
+  // the best non-dense batch-1 throughput over dense (the ROADMAP's
+  // weight-traffic lever, expected > 1 from CSR/int8/f16).
   json += ",\"backend_sweep\":{\"results\":[";
   double dense_b1 = 0.0, best_nondense_b1 = 0.0;
   for (size_t i = 0; i < brows.size(); ++i) {
     const BackendRow& row = brows[i];
-    const bool counts = row.plan == plan_modes.front();  // one mode feeds speedups
     if (row.backend == tensor::WeightBackend::kDenseF32) {
-      if (counts) dense_b1 = row.qps_b1;
-    } else if (counts) {
+      dense_b1 = row.qps_b1;
+    } else {
       best_nondense_b1 = std::max(best_nondense_b1, row.qps_b1);
     }
     char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"backend\":\"%s\",\"plan\":\"%s\",\"qps_batch1\":%.1f,"
+                  "%s{\"backend\":\"%s\",\"qps_batch1\":%.1f,"
                   "\"qps_batch64\":%.1f,\"packed_weight_bytes\":%llu,"
-                  "\"plan_bytes\":%llu,\"median_qerror\":%.4f",
-                  i == 0 ? "" : ",", tensor::WeightBackendName(row.backend),
-                  row.plan ? "on" : "off", row.qps_b1, row.qps_b64,
-                  static_cast<unsigned long long>(row.packed_bytes),
-                  static_cast<unsigned long long>(row.plan_bytes), row.median_qerror);
+                  "\"median_qerror\":%.4f",
+                  i == 0 ? "" : ",", tensor::WeightBackendName(row.backend), row.qps_b1,
+                  row.qps_b64, static_cast<unsigned long long>(row.packed_bytes),
+                  row.median_qerror);
     json += buf;
     if (have_dense) {  // no dense row in the sweep -> no delta reference
       std::snprintf(buf, sizeof(buf), ",\"qerror_delta_vs_dense\":%.6f", row.qerror_delta);
@@ -550,21 +507,6 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   std::snprintf(tail3, sizeof(tail3), "],\"best_nondense_b1_speedup\":%.2f",
                 dense_b1 > 0.0 ? best_nondense_b1 / dense_b1 : 0.0);
   json += tail3;
-  // Per-backend plan-on/plan-off batch-1 ratio (requires both modes).
-  double plan_speedup_best = 0.0;
-  for (const BackendRow& on_row : brows) {
-    if (!on_row.plan) continue;
-    for (const BackendRow& off_row : brows) {
-      if (off_row.plan || off_row.backend != on_row.backend) continue;
-      if (off_row.qps_b1 > 0.0) {
-        plan_speedup_best = std::max(plan_speedup_best, on_row.qps_b1 / off_row.qps_b1);
-      }
-    }
-  }
-  if (plan_speedup_best > 0.0) {
-    std::snprintf(tail3, sizeof(tail3), ",\"plan_b1_speedup_best\":%.2f", plan_speedup_best);
-    json += tail3;
-  }
   std::snprintf(tail3, sizeof(tail3),
                 ",\"plan_compile_micros\":%llu,\"plan_cache_hits\":%llu}",
                 static_cast<unsigned long long>(best.PlanCompileMicros()),
@@ -620,7 +562,7 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
   for (const auto& lq : feedback_wl) serve_queries.push_back(lq.query);
 
   ThreadPool::SetGlobalThreads(1);
-  serve::ModelRegistry registry(std::move(model));  // dense fp32, plans on
+  serve::ModelRegistry registry(std::move(model));  // dense fp32
   const double qerror_before = core::MedianQError(registry.Current()->model(), eval_wl);
 
   serve::ServingOptions sopt;

@@ -53,7 +53,6 @@ std::vector<std::string> WriteArtifactFleet(const data::Table& table, int distin
     opt.seed = 4242 + static_cast<uint64_t>(i);
     core::DuetModel model(table, opt);
     model.SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-    model.SetPlanEnabled(true);
     const std::string path =
         "/tmp/duet_bench_zoo_" + std::to_string(::getpid()) + "_" + std::to_string(i) + ".duet";
     const artifact::ArtifactStatus st =

@@ -121,8 +121,7 @@ int main(int argc, char** argv) {
               sel * static_cast<double>(table.num_rows()), actual);
   // Estimation above ran through the compiled inference plan (built
   // automatically on the first no-grad forward; docs/architecture.md §5).
-  std::printf("inference plan: %.1f KiB compiled, %.1f KiB packed caches total\n",
-              static_cast<double>(estimator.PlanBytes()) / 1024.0,
+  std::printf("inference plan: %.1f KiB compiled\n",
               static_cast<double>(estimator.PackedWeightBytes()) / 1024.0);
 
   // Checkpoint round-trip: the trained model can be reloaded for more

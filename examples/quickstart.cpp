@@ -61,11 +61,9 @@ int main() {
 
   // The first no-grad forward compiled the model into an inference plan
   // (a flat packed-op program — see docs/architecture.md §5). This is the
-  // default serving path; the footprint below is what the compiled weights
+  // only inference path; the footprint below is what the compiled weights
   // cost on top of the fp32 parameters.
-  std::printf("inference plan: %.1f KiB compiled (%.1f KiB packed caches total), "
-              "%llu compile(s), %llu cache hit(s)\n",
-              static_cast<double>(estimator.PlanBytes()) / 1024.0,
+  std::printf("inference plan: %.1f KiB compiled, %llu compile(s), %llu cache hit(s)\n",
               static_cast<double>(estimator.PackedWeightBytes()) / 1024.0,
               static_cast<unsigned long long>(model.PlanInfo().compiles),
               static_cast<unsigned long long>(estimator.PlanCacheHits()));

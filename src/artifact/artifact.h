@@ -123,8 +123,8 @@ class ArtifactModel {
 };
 
 /// CardinalityEstimator adapter over a loaded artifact (the DuetEstimator
-/// shape; backend/plan reconfiguration is a no-op — artifacts are frozen
-/// at write time).
+/// shape; backend reconfiguration is a no-op — artifacts are frozen at
+/// write time).
 class ArtifactEstimator : public query::CardinalityEstimator {
  public:
   explicit ArtifactEstimator(const ArtifactModel& model) : model_(model) {}
@@ -137,7 +137,6 @@ class ArtifactEstimator : public query::CardinalityEstimator {
     return model_.EstimateSelectivityBatch(queries);
   }
   uint64_t PackedWeightBytes() const override { return model_.plan().bytes(); }
-  uint64_t PlanBytes() const override { return model_.plan().bytes(); }
   std::string name() const override { return "DuetArtifact"; }
   double SizeMB() const override {
     return static_cast<double>(model_.mapped_bytes()) / (1024.0 * 1024.0);

@@ -103,11 +103,6 @@ class LwNnEstimator : public nn::Module, public query::CardinalityEstimator {
   }
   uint64_t CachedBytes() const override { return mlp_->CachedBytes(); }
   uint64_t PackedWeightBytes() const override { return CachedBytes(); }
-  void SetPlanEnabled(bool enabled) const override { mlp_->SetPlanEnabled(enabled); }
-  void SetPlanEnabled(bool enabled) override {
-    static_cast<const LwNnEstimator&>(*this).SetPlanEnabled(enabled);
-  }
-  uint64_t PlanBytes() const override { return mlp_->PlanBytes(); }
   nn::PlanTelemetry PlanInfo() const override { return mlp_->PlanInfo(); }
   uint64_t PlanCompileMicros() const override { return PlanInfo().compile_micros; }
   uint64_t PlanCacheHits() const override { return PlanInfo().cache_hits; }

@@ -69,17 +69,6 @@ class MscnModel : public nn::Module, public query::CardinalityEstimator {
     return pred_mlp_->CachedBytes() + bitmap_mlp_->CachedBytes() + out_mlp_->CachedBytes();
   }
   uint64_t PackedWeightBytes() const override { return CachedBytes(); }
-  void SetPlanEnabled(bool enabled) const override {
-    pred_mlp_->SetPlanEnabled(enabled);
-    bitmap_mlp_->SetPlanEnabled(enabled);
-    out_mlp_->SetPlanEnabled(enabled);
-  }
-  void SetPlanEnabled(bool enabled) override {
-    static_cast<const MscnModel&>(*this).SetPlanEnabled(enabled);
-  }
-  uint64_t PlanBytes() const override {
-    return pred_mlp_->PlanBytes() + bitmap_mlp_->PlanBytes() + out_mlp_->PlanBytes();
-  }
   nn::PlanTelemetry PlanInfo() const override {
     nn::PlanTelemetry t = pred_mlp_->PlanInfo();
     t += bitmap_mlp_->PlanInfo();

@@ -92,8 +92,6 @@ class NaruModel : public nn::Module {
     made_->SetInferenceBackend(backend);
   }
   uint64_t CachedBytes() const override { return made_->CachedBytes(); }
-  void SetPlanEnabled(bool enabled) const override { made_->SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return made_->PlanBytes(); }
   nn::PlanTelemetry PlanInfo() const override { return made_->PlanInfo(); }
   const NaruOptions& options() const { return options_; }
   /// Profiling accumulators. Read/Clear only while no estimation is in
@@ -150,8 +148,6 @@ class NaruEstimator : public query::CardinalityEstimator {
     model_.SetInferenceBackend(backend);
   }
   uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
-  void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return model_.PlanBytes(); }
   uint64_t PlanCompileMicros() const override { return model_.PlanInfo().compile_micros; }
   uint64_t PlanCacheHits() const override { return model_.PlanInfo().cache_hits; }
   std::string name() const override { return name_; }

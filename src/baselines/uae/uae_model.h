@@ -105,8 +105,6 @@ class UaeEstimator : public query::CardinalityEstimator {
     model_.naru().SetInferenceBackend(backend);
   }
   uint64_t PackedWeightBytes() const override { return model_.naru().CachedBytes(); }
-  void SetPlanEnabled(bool enabled) override { model_.naru().SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return model_.naru().PlanBytes(); }
   uint64_t PlanCompileMicros() const override {
     return model_.naru().PlanInfo().compile_micros;
   }

@@ -76,23 +76,20 @@ void ThreadPool::WorkerLoop() {
 }
 
 namespace {
-/// Global pool slot; intentionally leaked (workers outlive static dtors).
-ThreadPool*& GlobalSlot() {
-  static ThreadPool* pool = nullptr;
+/// Global pool slot. The magic static makes first construction race-free
+/// when concurrent ParallelFor callers reach Global() at once; the atomic
+/// lets SetGlobalThreads swap pools without a torn read. Intentionally
+/// leaked (workers outlive static dtors).
+std::atomic<ThreadPool*>& GlobalSlot() {
+  static std::atomic<ThreadPool*> pool{new ThreadPool()};
   return pool;
 }
 }  // namespace
 
-ThreadPool& ThreadPool::Global() {
-  ThreadPool*& slot = GlobalSlot();
-  if (slot == nullptr) slot = new ThreadPool();
-  return *slot;
-}
+ThreadPool& ThreadPool::Global() { return *GlobalSlot().load(); }
 
 void ThreadPool::SetGlobalThreads(unsigned num_threads) {
-  ThreadPool*& slot = GlobalSlot();
-  delete slot;  // joins the old workers
-  slot = new ThreadPool(num_threads);
+  delete GlobalSlot().exchange(new ThreadPool(num_threads));  // joins the old workers
 }
 
 void ParallelFor(int64_t begin, int64_t end, const std::function<void(int64_t)>& fn,

@@ -53,9 +53,10 @@ class ThreadPool {
   static ThreadPool& Global();
 
   /// Replaces the global pool with one of `num_threads` workers (0 =
-  /// hardware concurrency). Must only be called while no parallel work is in
-  /// flight; existing workers are joined first. Used by the thread-scaling
-  /// ablation bench.
+  /// hardware concurrency). The swap itself is atomic, but the old pool is
+  /// deleted (its workers joined) on return, so this must only be called
+  /// while no other thread holds Global() — no parallel work in flight.
+  /// Used by the thread-scaling benches.
   static void SetGlobalThreads(unsigned num_threads);
 
  private:

@@ -123,7 +123,7 @@ CheckpointStatus TryLoadModuleFile(const std::string& path, const std::string& k
   // Module::Save wrote for this fingerprint; Load cannot fail structurally.
   // A restore rewrites parameter storage through raw data() pointers; the
   // RAII guard bumps tensor::ParameterVersion() when this scope exits so
-  // packed-weight caches can never serve pre-restore packs (Module::Load
+  // compiled plans can never serve pre-restore packs (Module::Load
   // guards its own scope too — the counter is monotone, an extra bump is
   // free).
   tensor::ParameterMutationGuard mutation;

@@ -125,32 +125,31 @@ class DuetModel : public nn::Module {
   /// no-grad estimation paths (tensor/packed_weights.h): kDenseF32 keeps
   /// today's bitwise-exact behavior, kCsrF32 streams only nonzero masked
   /// weights (also bitwise-exact), kInt8 quarters weight traffic at bounded
-  /// accuracy cost, kF16 halves it at a much tighter bound. Layers repack
-  /// (and the plan recompiles) lazily on the next forward. Const because
-  /// only inference caches are reconfigured — but configure before sharing
-  /// the model with serving threads: a switch racing in-flight estimates is
-  /// memory-safe yet a racing forward may serve either backend (see
-  /// nn/layers.h; published snapshots are configured once at publish time).
+  /// accuracy cost, kF16 halves it at a much tighter bound, kInt4 cuts it
+  /// to an eighth. The plan recompiles lazily on the next forward. Const
+  /// because only the inference cache is reconfigured — but configure
+  /// before sharing the model with serving threads: a switch racing
+  /// in-flight estimates is memory-safe yet a racing forward may serve
+  /// either backend (see nn/inference_plan.h; published snapshots are
+  /// configured once at publish time).
   void SetInferenceBackend(tensor::WeightBackend backend) const override {
     net_->SetInferenceBackend(backend);
   }
 
   /// Declares the parameters permanently frozen and pins the backbone's
-  /// pack/plan caches to `stamp` (snapshot publication; see nn/module.h).
+  /// plan cache to `stamp` (snapshot publication; see nn/module.h).
   /// After this call the model must never be trained again.
   void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override {
     net_->FreezeInferenceCaches(stamp);
   }
 
-  /// Bytes currently held by the packed-weight caches including the
-  /// compiled plan (0 until the first no-grad forward populates them).
+  /// Bytes held by the compiled plan's packed weights (0 until the first
+  /// no-grad forward compiles it).
   uint64_t CachedBytes() const override { return net_->CachedBytes(); }
 
-  /// Compiled-plan controls/observability, forwarded to the backbone (the
-  /// MADE backbone compiles plans; the Transformer falls back to the
-  /// uncompiled path and reports zeros).
-  void SetPlanEnabled(bool enabled) const override { net_->SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return net_->PlanBytes(); }
+  /// Compiled-plan telemetry, forwarded to the backbone (the MADE backbone
+  /// compiles plans; the Transformer runs its layers directly and reports
+  /// zeros).
   nn::PlanTelemetry PlanInfo() const override { return net_->PlanInfo(); }
 
   // ----- introspection -----
@@ -207,8 +206,6 @@ class DuetEstimator : public query::CardinalityEstimator {
     model_.FreezeInferenceCaches(stamp);
   }
   uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
-  void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return model_.PlanBytes(); }
   uint64_t PlanCompileMicros() const override { return model_.PlanInfo().compile_micros; }
   uint64_t PlanCacheHits() const override { return model_.PlanInfo().cache_hits; }
   std::string name() const override { return name_; }

@@ -63,8 +63,6 @@ class DuetMpsnModel : public nn::Module {
     made_->FreezeInferenceCaches(stamp);
   }
   uint64_t CachedBytes() const override { return made_->CachedBytes(); }
-  void SetPlanEnabled(bool enabled) const override { made_->SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return made_->PlanBytes(); }
   nn::PlanTelemetry PlanInfo() const override { return made_->PlanInfo(); }
 
  private:
@@ -122,8 +120,6 @@ class DuetMpsnEstimator : public query::CardinalityEstimator {
     model_.FreezeInferenceCaches(stamp);
   }
   uint64_t PackedWeightBytes() const override { return model_.CachedBytes(); }
-  void SetPlanEnabled(bool enabled) override { model_.SetPlanEnabled(enabled); }
-  uint64_t PlanBytes() const override { return model_.PlanBytes(); }
   uint64_t PlanCompileMicros() const override { return model_.PlanInfo().compile_micros; }
   uint64_t PlanCacheHits() const override { return model_.PlanInfo().cache_hits; }
   std::string name() const override { return name_; }

@@ -1,50 +1,19 @@
 // Observability surface of the network front-end (net/server.h).
 //
 // Counters are cumulative since Start(); latency percentiles come from
-// per-endpoint log-bucketed histograms — the exact scheme ServingStats uses
-// (bucket b counts samples in [2^(b-1), 2^b) microseconds, quantile values
-// are bucket upper bounds), so wire-side p50/p99/p999 is directly
-// comparable with the engine's in-process latency_p50/p99/p999_us at the
-// same quantile set. bench/bench_net.cc exports the whole struct in its
-// JSON line (docs/benchmarks.md).
+// per-endpoint common/latency_histogram.h histograms — the histogram
+// ServingStats uses, so wire-side p50/p99/p999 is directly comparable with
+// the engine's in-process latency_p50/p99/p999_us at the same quantile set.
+// bench/bench_net.cc exports the whole struct in its JSON line
+// (docs/benchmarks.md).
 #ifndef DUET_NET_NET_STATS_H_
 #define DUET_NET_NET_STATS_H_
 
-#include <array>
 #include <cstdint>
 
+#include "common/latency_histogram.h"
+
 namespace duet::net {
-
-/// Log-bucketed latency histogram (the ServingEngine bucket scheme).
-struct LatencyHistogram {
-  std::array<uint64_t, 40> buckets{};
-  uint64_t count = 0;
-
-  void Record(int64_t micros) {
-    if (micros < 0) micros = 0;
-    size_t bucket = 0;
-    while (bucket + 1 < buckets.size() && (micros >> bucket) > 0) ++bucket;
-    ++buckets[bucket];
-    ++count;
-  }
-
-  void MergeFrom(const LatencyHistogram& other) {
-    for (size_t b = 0; b < buckets.size(); ++b) buckets[b] += other.buckets[b];
-    count += other.count;
-  }
-
-  /// Upper bound of the bucket containing quantile `q` (0 with no samples).
-  double Quantile(double q) const {
-    if (count == 0) return 0.0;
-    const double target = q * static_cast<double>(count);
-    double seen = 0.0;
-    for (size_t b = 0; b < buckets.size(); ++b) {
-      seen += static_cast<double>(buckets[b]);
-      if (seen >= target) return static_cast<double>(1LL << b);
-    }
-    return static_cast<double>(1LL << (buckets.size() - 1));
-  }
-};
 
 /// Per-endpoint counters + latency percentiles. The estimate endpoint
 /// measures decode-complete -> response-encoded per request frame; the

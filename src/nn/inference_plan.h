@@ -1,11 +1,11 @@
-// Compiled inference plans: a module's no-grad forward flattened into a
-// packed-op program.
+// Compiled inference plans: a module's no-grad forward, flattened into a
+// packed-op program. This is the only inference path of Mlp / Made /
+// ResMADE; their layer loops run only with gradients enabled (training).
 //
-// The uncompiled inference path re-walks the module tree on every forward:
-// virtual dispatch per layer, shape checks per op, one arena tensor per
-// intermediate activation, and a per-layer packed-weights cache lookup
-// (mutex + version compare). None of that work depends on the input — the
-// structure of a frozen network is a compile-time constant. An
+// Walking the module tree per forward costs virtual dispatch per layer,
+// shape checks per op, one arena tensor per intermediate activation and a
+// W o M product per masked layer. None of that work depends on the input —
+// the structure of a frozen network is a compile-time constant. An
 // InferencePlan resolves all of it once: `Module::Compile(backend)` walks
 // Mlp / Made / ResMADE and emits a flat std::vector<PackedOp> program where
 // every op carries its packed-weight handle (with the degree-sorted output
@@ -13,33 +13,31 @@
 // shared bias handle, a fused activation, and pre-resolved scratch-slab
 // ids. Executing the plan is a tight loop over ops writing into a small set
 // of per-thread ping-pong slabs: zero virtual calls, zero allocations in
-// steady state, zero per-layer cache lookups, one output tensor per
-// forward.
+// steady state, one output tensor per forward.
 //
-// Numerics: plans execute the exact same kernels as the uncompiled packed
-// path (tensor/packed_weights.cc, shared epilogue in ops.cc), so dense and
-// CSR plans are bitwise-equal to the uncompiled forward; int8/f16 carry the
-// same accuracy bounds as their backends.
+// Numerics: dense and CSR plans are bitwise-equal to the autograd forward
+// (same float products, k-ascending accumulation, shared epilogue in
+// ops.cc; CSR skips only exact zeros); int8/f16 carry the accuracy bounds
+// of their backends.
 //
-// Caching & invalidation (the PR-3 packed-weights rules, lifted to whole
-// programs): a module caches one plan per (backend, ParameterVersion) in an
-// InferencePlanCache. The cached plan is stamped with
-// tensor::ParameterVersion() and recompiled lazily whenever the global
-// counter moved (optimizer step, Module::Load, ParameterMutationGuard) or
-// the requested backend changed. Publication is an atomic pointer swap
-// under the cache mutex: a concurrent forward either holds the old
-// immutable plan or the new one, never a torn view — which also makes a
-// whole forward atomic with respect to SetInferenceBackend (the uncompiled
-// path can mix backends across layers mid-switch; a plan cannot).
+// Caching & invalidation: a module caches one plan per
+// (backend, ParameterVersion) in an InferencePlanCache. The cached plan is
+// stamped with tensor::ParameterVersion() and recompiled lazily whenever
+// the global counter moved (optimizer step, Module::Load,
+// ParameterMutationGuard) or the requested backend changed. Publication is
+// an atomic pointer swap under the cache mutex: a concurrent forward either
+// holds the old immutable plan or the new one, never a torn view — so a
+// whole forward resolves its backend exactly once, even when it races
+// SetInferenceBackend. Configure a model before sharing it anyway: a racing
+// forward may serve either backend.
 //
 // Thread-safety: a compiled plan is immutable and safe to execute from any
-// number of threads (execution scratch is thread_local). The cache follows
-// the layer-cache contract: concurrent forwards are safe while the owning
-// module's parameters are unchanging; updating THEM concurrently is never
-// synchronized — online updates train a clone and publish it as a frozen
-// snapshot whose plan cache is pinned to the freeze-time version
-// (snapshot_id below), immune to the version bumps the clone's training
-// emits (see serve/model_registry.h).
+// number of threads (execution scratch is thread_local). Concurrent
+// forwards are safe while the owning module's parameters are unchanging;
+// updating THEM concurrently is never synchronized — online updates train a
+// clone and publish it as a frozen snapshot whose plan cache is pinned to
+// the freeze-time version (snapshot_id below), immune to the version bumps
+// the clone's training emits (see serve/model_registry.h).
 #ifndef DUET_NN_INFERENCE_PLAN_H_
 #define DUET_NN_INFERENCE_PLAN_H_
 
@@ -176,8 +174,7 @@ class PlanBuilder {
   std::vector<PackedOp> ops_;         // src/dst hold value ids until Finish
 };
 
-/// Per-module compiled-plan cache slot (the plan analogue of
-/// PackedWeightsCache in nn/layers.h). `version` stamps the
+/// Per-module compiled-plan cache slot. `version` stamps the
 /// tensor::ParameterVersion() under which `plan` was compiled; the slot is
 /// recompiled under `mu` whenever the counter moved or `requested` changed,
 /// and a fresh plan is published as a new shared_ptr so concurrent readers
@@ -195,14 +192,18 @@ struct InferencePlanCache {
   uint64_t snapshot_id = 0;
   uint64_t snapshot_version = 0;
   /// Backend selected by SetInferenceBackend (release-stored there,
-  /// acquire-loaded per forward; see the publication note in nn/layers.h).
+  /// acquire-loaded per forward).
   std::atomic<tensor::WeightBackend> requested{tensor::WeightBackend::kDenseF32};
-  /// SetPlanEnabled toggle; checked per no-grad forward.
-  std::atomic<bool> enabled{true};
   // Telemetry (PlanTelemetry snapshot source).
   std::atomic<uint64_t> compiles{0};
   std::atomic<uint64_t> compile_micros{0};
   std::atomic<uint64_t> hits{0};
+
+  /// Bytes held by the cached plan (0 before the first no-grad forward).
+  uint64_t Bytes() {
+    std::lock_guard<std::mutex> lock(mu);
+    return plan ? plan->bytes() : 0;
+  }
 
   PlanTelemetry Snapshot() const {
     PlanTelemetry t;

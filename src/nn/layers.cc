@@ -20,8 +20,7 @@ Tensor UniformInit(std::vector<int64_t> shape, float bound, Rng& rng) {
 
 }  // namespace
 
-Linear::Linear(int64_t in, int64_t out, Rng& rng)
-    : in_(in), out_(out), cache_(std::make_unique<PackedWeightsCache>()) {
+Linear::Linear(int64_t in, int64_t out, Rng& rng) : in_(in), out_(out) {
   const float bound = 1.0f / std::sqrt(static_cast<float>(in));
   w_ = RegisterParam(UniformInit({in, out}, bound, rng));
   b_ = RegisterParam(UniformInit({out}, bound, rng));
@@ -31,89 +30,12 @@ tensor::Tensor Linear::EffectiveWeightCopy() const {
   return Tensor::FromVector(w_.shape(), w_.value_vector());
 }
 
-namespace {
-
-/// The reference version a cache slot must match: the frozen snapshot
-/// version for pinned slots (immune to foreign training), the global
-/// counter otherwise. Caller holds cache.mu.
-uint64_t CacheReferenceVersion(const PackedWeightsCache& cache) {
-  return cache.snapshot_id != 0 ? cache.snapshot_version : tensor::ParameterVersion();
-}
-
-/// Shared FreezeInferenceCaches implementation for Linear / MaskedLinear.
-void PinPackedCache(PackedWeightsCache& cache, const tensor::SnapshotStamp& stamp) {
-  DUET_CHECK_NE(stamp.id, 0u) << "snapshot id 0 means 'not a snapshot'";
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.snapshot_id = stamp.id;
-  cache.snapshot_version = stamp.parameter_version;
-  // A pack built under the freeze-time version packed the frozen weights
-  // and keeps hitting (pinned lookups compare against snapshot_version).
-  // Anything older predates the last mutation and must be dropped, not
-  // restamped: the pin removes the global-counter comparison that would
-  // otherwise have caught the staleness.
-  if (cache.packed && cache.version != stamp.parameter_version) {
-    cache.packed.reset();
-    cache.version = 0;
-  }
-}
-
-}  // namespace
-
-std::shared_ptr<const tensor::PackedWeights> Linear::PackedWeight() const {
-  const tensor::WeightBackend backend = cache_->requested.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  const uint64_t version = CacheReferenceVersion(*cache_);
-  if (cache_->version != version || !cache_->packed || cache_->packed->backend != backend) {
-    // Pack from a non-pooled copy of W: the pack outlives any NoGradScope
-    // and is read from many threads, so it must not borrow from a
-    // thread-local inference arena or alias the mutable parameter storage.
-    cache_->packed = tensor::PackWeights(
-        Tensor::FromVector(w_.shape(), w_.value_vector()), backend);
-    cache_->version = version;
-  }
-  return cache_->packed;
-}
-
-void Linear::SetInferenceBackend(tensor::WeightBackend backend) const {
-  cache_->requested.store(backend, std::memory_order_release);
-  if (backend == tensor::WeightBackend::kDenseF32) {
-    // The dense path multiplies by W directly and never reads the cache, so
-    // a pack left over from a csr/int8 configuration would sit allocated
-    // forever and keep counting toward CachedBytes(); drop it now.
-    std::lock_guard<std::mutex> lock(cache_->mu);
-    cache_->packed.reset();
-    cache_->version = 0;
-  }
-}
-
-void Linear::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  PinPackedCache(*cache_, stamp);
-}
-
-uint64_t Linear::CachedBytes() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->packed ? cache_->packed->bytes() : 0;
-}
-
-void Linear::DropPackedCache() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  cache_->packed.reset();
-  cache_->version = 0;
-}
-
 Tensor Linear::Forward(const Tensor& x, tensor::Activation act) const {
-  if (!tensor::NoGradGuard::GradEnabled() &&
-      cache_->requested.load(std::memory_order_acquire) != tensor::WeightBackend::kDenseF32) {
-    return tensor::PackedMatMulBiasAct(x, *PackedWeight(), b_, act);
-  }
-  // Dense inference multiplies by W directly — the unpacked weight IS the
-  // dense packed form, so no cache copy is ever built on this path.
   return tensor::MatMulBiasAct(x, w_, b_, act);
 }
 
 MaskedLinear::MaskedLinear(int64_t in, int64_t out, Tensor mask, Rng& rng)
-    : in_(in), out_(out), mask_(std::move(mask)),
-      cache_(std::make_unique<PackedWeightsCache>()) {
+    : mask_(std::move(mask)) {
   DUET_CHECK_EQ(mask_.ndim(), 2);
   DUET_CHECK_EQ(mask_.dim(0), in);
   DUET_CHECK_EQ(mask_.dim(1), out);
@@ -134,48 +56,7 @@ tensor::Tensor MaskedLinear::EffectiveWeightCopy() const {
   return Tensor::FromVector(w_.shape(), std::move(wm));
 }
 
-std::shared_ptr<const tensor::PackedWeights> MaskedLinear::PackedEffectiveWeight() const {
-  const tensor::WeightBackend backend = cache_->requested.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  const uint64_t version = CacheReferenceVersion(*cache_);
-  if (cache_->version != version || !cache_->packed || cache_->packed->backend != backend) {
-    // For kDenseF32 the pack adopts the W o M materialization as-is —
-    // exactly the PR-2 masked-weight cache; for CSR/int8/f16 the buffer is
-    // a pack-time temporary.
-    cache_->packed = tensor::PackWeights(EffectiveWeightCopy(), backend);
-    cache_->version = version;
-  }
-  return cache_->packed;
-}
-
-void MaskedLinear::SetInferenceBackend(tensor::WeightBackend backend) const {
-  cache_->requested.store(backend, std::memory_order_release);
-}
-
-void MaskedLinear::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  PinPackedCache(*cache_, stamp);
-}
-
-uint64_t MaskedLinear::CachedBytes() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  return cache_->packed ? cache_->packed->bytes() : 0;
-}
-
-void MaskedLinear::DropPackedCache() const {
-  std::lock_guard<std::mutex> lock(cache_->mu);
-  cache_->packed.reset();
-  cache_->version = 0;
-}
-
 Tensor MaskedLinear::Forward(const Tensor& x, tensor::Activation act) const {
-  if (!tensor::NoGradGuard::GradEnabled()) {
-    // Inference: the mask is constant and W is frozen between optimizer
-    // steps, so W o M is packed once per parameter version. The dense
-    // backend performs the same float multiplies as the tracked path below
-    // and dispatches through the same GEMM, so cached and uncached forwards
-    // agree bitwise; CSR skips only exact zeros and agrees bitwise too.
-    return tensor::PackedMatMulBiasAct(x, *PackedEffectiveWeight(), b_, act);
-  }
   return tensor::MatMulBiasAct(x, tensor::Mul(w_, mask_), b_, act);
 }
 
@@ -190,8 +71,7 @@ Mlp::Mlp(const std::vector<int64_t>& sizes, Rng& rng)
 }
 
 Tensor Mlp::Forward(const Tensor& x) const {
-  if (!tensor::NoGradGuard::GradEnabled() &&
-      plan_cache_->enabled.load(std::memory_order_acquire)) {
+  if (!tensor::NoGradGuard::GradEnabled()) {
     const auto plan = GetOrCompilePlan(
         *plan_cache_, [this](tensor::WeightBackend backend) { return Compile(backend); });
     return plan->Execute(x);
@@ -222,44 +102,16 @@ std::shared_ptr<const InferencePlan> Mlp::Compile(tensor::WeightBackend backend)
 }
 
 void Mlp::SetInferenceBackend(tensor::WeightBackend backend) const {
-  for (const Linear& l : layers_) l.SetInferenceBackend(backend);
   plan_cache_->requested.store(backend, std::memory_order_release);
 }
 
 void Mlp::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  for (const Linear& l : layers_) l.FreezeInferenceCaches(stamp);
   PinPlanCache(*plan_cache_, stamp);
 }
 
-void Mlp::SetPlanEnabled(bool enabled) const {
-  plan_cache_->enabled.store(enabled, std::memory_order_release);
-  if (!enabled) {
-    // Reclaim the compiled program: a disabled plan would otherwise sit
-    // allocated forever and keep counting toward PlanBytes()/CachedBytes().
-    // In-flight forwards holding the shared_ptr stay valid.
-    std::lock_guard<std::mutex> lock(plan_cache_->mu);
-    plan_cache_->plan.reset();
-    plan_cache_->version = 0;
-  } else {
-    // Symmetric reclaim: the plan path never reads the per-layer packs, so
-    // packs built while plans were off would sit allocated unused (and
-    // double-count in CachedBytes on top of the plan's packs).
-    for (const Linear& l : layers_) l.DropPackedCache();
-  }
-}
-
-uint64_t Mlp::PlanBytes() const {
-  std::lock_guard<std::mutex> lock(plan_cache_->mu);
-  return plan_cache_->plan ? plan_cache_->plan->bytes() : 0;
-}
+uint64_t Mlp::CachedBytes() const { return plan_cache_->Bytes(); }
 
 PlanTelemetry Mlp::PlanInfo() const { return plan_cache_->Snapshot(); }
-
-uint64_t Mlp::CachedBytes() const {
-  uint64_t bytes = PlanBytes();
-  for (const Linear& l : layers_) bytes += l.CachedBytes();
-  return bytes;
-}
 
 Embedding::Embedding(int64_t num_embeddings, int64_t dim, Rng& rng) : dim_(dim) {
   // Normal(0, 1) scaled down keeps embedding magnitudes comparable to the

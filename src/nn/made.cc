@@ -105,56 +105,16 @@ Made::Made(MadeOptions options, Rng& rng)
 }
 
 void Made::SetInferenceBackend(tensor::WeightBackend backend) const {
-  for (const MaskedLinear& l : layers_) l.SetInferenceBackend(backend);
-  if (res_input_) res_input_->SetInferenceBackend(backend);
-  for (const MaskedLinear& l : res_layers_) l.SetInferenceBackend(backend);
-  if (res_output_) res_output_->SetInferenceBackend(backend);
   plan_cache_->requested.store(backend, std::memory_order_release);
 }
 
 void Made::FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
-  for (const MaskedLinear& l : layers_) l.FreezeInferenceCaches(stamp);
-  if (res_input_) res_input_->FreezeInferenceCaches(stamp);
-  for (const MaskedLinear& l : res_layers_) l.FreezeInferenceCaches(stamp);
-  if (res_output_) res_output_->FreezeInferenceCaches(stamp);
   PinPlanCache(*plan_cache_, stamp);
 }
 
-void Made::SetPlanEnabled(bool enabled) const {
-  plan_cache_->enabled.store(enabled, std::memory_order_release);
-  if (!enabled) {
-    // Reclaim the compiled program: a disabled plan would otherwise sit
-    // allocated forever and keep counting toward PlanBytes()/CachedBytes().
-    // In-flight forwards holding the shared_ptr stay valid.
-    std::lock_guard<std::mutex> lock(plan_cache_->mu);
-    plan_cache_->plan.reset();
-    plan_cache_->version = 0;
-  } else {
-    // Symmetric reclaim: the plan path never reads the per-layer packs, so
-    // packs built while plans were off would sit allocated unused (and
-    // double-count in CachedBytes on top of the plan's packs).
-    for (const MaskedLinear& l : layers_) l.DropPackedCache();
-    if (res_input_) res_input_->DropPackedCache();
-    for (const MaskedLinear& l : res_layers_) l.DropPackedCache();
-    if (res_output_) res_output_->DropPackedCache();
-  }
-}
-
-uint64_t Made::PlanBytes() const {
-  std::lock_guard<std::mutex> lock(plan_cache_->mu);
-  return plan_cache_->plan ? plan_cache_->plan->bytes() : 0;
-}
+uint64_t Made::CachedBytes() const { return plan_cache_->Bytes(); }
 
 PlanTelemetry Made::PlanInfo() const { return plan_cache_->Snapshot(); }
-
-uint64_t Made::CachedBytes() const {
-  uint64_t bytes = PlanBytes();
-  for (const MaskedLinear& l : layers_) bytes += l.CachedBytes();
-  if (res_input_) bytes += res_input_->CachedBytes();
-  for (const MaskedLinear& l : res_layers_) bytes += l.CachedBytes();
-  if (res_output_) bytes += res_output_->CachedBytes();
-  return bytes;
-}
 
 std::shared_ptr<const InferencePlan> Made::Compile(tensor::WeightBackend backend) const {
   // Every masked layer gets the degree-sorted output permutation: the
@@ -196,8 +156,7 @@ std::shared_ptr<const InferencePlan> Made::Compile(tensor::WeightBackend backend
 Tensor Made::Forward(const Tensor& x) const {
   DUET_CHECK_EQ(x.ndim(), 2);
   DUET_CHECK_EQ(x.dim(1), input_dim_);
-  if (!tensor::NoGradGuard::GradEnabled() &&
-      plan_cache_->enabled.load(std::memory_order_acquire)) {
+  if (!tensor::NoGradGuard::GradEnabled()) {
     const auto plan = GetOrCompilePlan(
         *plan_cache_, [this](tensor::WeightBackend backend) { return Compile(backend); });
     return plan->Execute(x);

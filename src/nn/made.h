@@ -8,20 +8,16 @@
 // autoregressive property: output block i depends only on input blocks < i,
 // so column 0's head is input-independent (its marginal lives in the bias).
 //
-// Every masked layer (plain MADE and both ResMADE paths) routes through
-// MaskedLinear, so inference forwards inherit its packed-weights cache: with
-// gradients disabled, W o M is packed once per parameter version instead of
-// materialized per forward, in the backend chosen via SetInferenceBackend
-// (dense fp32 / CSR sparse / int8 / f16 — see nn/layers.h and
-// tensor/packed_weights.h for the formats and invalidation rules).
-// Forward is safe to call concurrently while parameters are frozen.
-//
-// Compiled plans: by default a no-grad Forward executes through a compiled
-// InferencePlan (nn/inference_plan.h) — the whole layer walk flattened into
-// a packed-op program with the degree-sorted output permutation applied to
-// every masked layer, cached per (backend, parameter version). Dense/CSR
-// plans are bitwise-equal to the uncompiled path; SetPlanEnabled(false)
-// restores the per-layer path.
+// Inference runs through a compiled InferencePlan (nn/inference_plan.h):
+// a no-grad Forward executes the whole layer walk as a packed-op program,
+// with the degree-sorted output permutation applied to every masked layer,
+// in the backend chosen via SetInferenceBackend (dense fp32 / CSR sparse /
+// int8 / f16 / int4 — see tensor/packed_weights.h), cached per (backend,
+// parameter version). W o M is thus packed once per parameter version
+// instead of materialized per forward. Dense/CSR plans are bitwise-equal
+// to the autograd forward, which the layer loop runs whenever gradients
+// are enabled. Forward is safe to call concurrently while parameters are
+// frozen.
 #ifndef DUET_NN_MADE_H_
 #define DUET_NN_MADE_H_
 
@@ -71,23 +67,20 @@ class Made : public Backbone {
     return static_cast<int>(options_.input_widths.size());
   }
 
-  /// Forwards the backend selection to every masked layer (both the plain
-  /// and the ResMADE path) and to the plan cache; each repacks/recompiles
-  /// lazily on its next no-grad forward.
+  /// Selects the plan's backend; the plan recompiles lazily on the next
+  /// no-grad forward.
   void SetInferenceBackend(tensor::WeightBackend backend) const override;
 
-  /// Pins every masked layer's pack and the plan cache to `stamp` (snapshot
-  /// publication; see nn/module.h).
+  /// Pins the plan cache to `stamp` (snapshot publication; see
+  /// nn/module.h).
   void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const override;
 
-  /// Total packed-cache bytes across all masked layers + the compiled plan.
+  /// Bytes held by the compiled plan's packed weights.
   uint64_t CachedBytes() const override;
 
   /// Flattens the (Res)MADE layer walk into a packed-op program with the
   /// degree-sorted output permutation applied to every masked layer.
   std::shared_ptr<const InferencePlan> Compile(tensor::WeightBackend backend) const override;
-  void SetPlanEnabled(bool enabled) const override;
-  uint64_t PlanBytes() const override;
   PlanTelemetry PlanInfo() const override;
 
   const MadeOptions& options() const { return options_; }

@@ -26,8 +26,8 @@ void Module::Save(BinaryWriter& w) const {
 
 void Module::Load(BinaryReader& r) {
   // Loaded weights replace the in-memory parameters wholesale through raw
-  // data() pointers; any cache derived from them (e.g. the packed-weight
-  // caches in nn::Linear / nn::MaskedLinear) is stale once this returns.
+  // data() pointers; any cache derived from them (e.g. a compiled
+  // inference plan) is stale once this returns.
   tensor::ParameterMutationGuard mutation;
   const uint64_t n = r.ReadU64();
   DUET_CHECK_EQ(n, params_.size()) << "checkpoint does not match architecture";

@@ -10,8 +10,8 @@
 #include "tensor/tensor.h"
 
 namespace duet::tensor {
-// Opaque declaration (definition: tensor/packed_weights.h); layers with a
-// packed cache include the full header, plain modules do not need it.
+// Opaque declaration (definition: tensor/packed_weights.h); modules that
+// compile plans include the full header, plain modules do not need it.
 enum class WeightBackend : int32_t;
 }  // namespace duet::tensor
 
@@ -46,7 +46,7 @@ class Module {
   Module() = default;
   virtual ~Module() = default;
   // Explicit noexcept moves: the virtual destructor would otherwise
-  // suppress them, and containers of move-only layers (packed caches hold a
+  // suppress them, and containers of move-only modules (plan caches hold a
   // mutex behind a unique_ptr) need nothrow moves so vector reallocation
   // never falls back to the deleted copy path.
   Module(Module&&) noexcept = default;
@@ -54,40 +54,39 @@ class Module {
   Module(const Module&) = default;
   Module& operator=(const Module&) = default;
 
-  /// Selects the inference-side packed-weight backend (see
-  /// tensor/packed_weights.h). Layers with a packed cache repack lazily on
-  /// their next no-grad forward; container modules forward the call to their
-  /// children; leaves without packed weights ignore it (default). Const
-  /// because it only reconfigures inference caches, never the trainable
-  /// parameters. Packs and plans publish atomically, so a switch racing
-  /// in-flight forwards is memory-safe — but a racing forward may serve
-  /// either backend, so configure a model before sharing it (snapshots are
-  /// configured once at publish time, see serve/model_registry.h).
+  /// Selects the packed-weight backend of the compiled inference plan:
+  /// dense fp32, CSR, int8, f16 or int4 (see tensor/packed_weights.h).
+  /// Plan-compiling modules recompile lazily on their next no-grad forward;
+  /// container modules forward the call to their children; other modules
+  /// ignore it (default). Const because it only reconfigures the inference
+  /// cache, never the trainable parameters. Plans publish atomically, so a
+  /// switch racing in-flight forwards is memory-safe — but a racing forward
+  /// may serve either backend, so configure a model before sharing it
+  /// (snapshots are configured once at publish time, see
+  /// serve/model_registry.h).
   virtual void SetInferenceBackend(tensor::WeightBackend backend) const {
     (void)backend;
   }
 
   /// Declares this module's parameters permanently frozen and pins its
-  /// inference caches (packs + compiled plans) to `stamp`: pinned caches
-  /// stop comparing against the moving global tensor::ParameterVersion()
-  /// and serve what they built under stamp.parameter_version forever. This
+  /// compiled-plan cache to `stamp`: a pinned cache stops comparing
+  /// against the moving global tensor::ParameterVersion() and serves what it
+  /// built under stamp.parameter_version forever. This
   /// is the multi-version serving hook — it makes a published snapshot
   /// immune to the version bumps a background fine-tune of a *different*
   /// (cloned) model performs on every optimizer step. Irreversible by
   /// design: after freezing, training this module is a contract violation
-  /// (caches would serve stale weights). Container modules forward to their
+  /// (the plan would serve stale weights). Container modules forward to their
   /// children; modules without caches ignore it (default).
   virtual void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) const {
     (void)stamp;
   }
 
-  /// Bytes currently held by inference-side packed-weight caches (0 when no
-  /// cache has been built). Container modules sum over their children. This
-  /// is the observability hook for the cache's memory cost: a dense packed
-  /// cache doubles a masked layer's weight memory, CSR roughly halves the
-  /// extra copy, int8 quarters it, f16 halves it. Modules that compile
-  /// inference plans include their plan's packed weights here (the plan IS
-  /// the packed-weight cache on the compiled path).
+  /// Bytes held by the compiled plan's packed weights (0 before the first
+  /// no-grad forward). Container modules sum over their children. This is
+  /// the observability hook for the plan's memory cost: a dense plan doubles
+  /// a masked layer's weight memory, CSR roughly halves the extra copy, int8
+  /// quarters it, f16 halves it.
   virtual uint64_t CachedBytes() const { return 0; }
 
   /// Compiles this module's no-grad forward into a flat packed-op program
@@ -99,19 +98,6 @@ class Module {
     (void)backend;
     return nullptr;
   }
-
-  /// Enables/disables compiled-plan execution for no-grad forwards (default
-  /// on for modules that support it; containers forward to children).
-  /// Disabling also frees the cached program, so PlanBytes() drops to 0.
-  /// Like SetInferenceBackend, the toggle publishes atomically but is not
-  /// deterministic under racing forwards — configure before sharing.
-  virtual void SetPlanEnabled(bool enabled) const { (void)enabled; }
-
-  /// Bytes held by the compiled plan's packed weights (0 when no plan is
-  /// compiled or the module does not compile plans). Already included in
-  /// CachedBytes(); exposed separately so callers can report the plan
-  /// footprint on its own.
-  virtual uint64_t PlanBytes() const { return 0; }
 
   /// Plan-cache telemetry (zeros for modules without plans; containers sum
   /// over children).

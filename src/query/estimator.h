@@ -55,17 +55,18 @@ class CardinalityEstimator {
   /// batch across threads without changing results).
   virtual std::vector<double> EstimateSelectivityBatch(const std::vector<Query>& queries);
 
-  /// Selects the inference-side packed-weight backend (dense fp32 / CSR
-  /// sparse / int8 / f16 — see tensor/packed_weights.h). Estimators without
-  /// a packed weight path ignore it (default). Configure before sharing the
-  /// estimator with serving threads: with estimates in flight the switch is
-  /// memory-safe (packs and plans publish atomically — no torn views, see
-  /// nn/layers.h), but a racing forward may serve either backend. Model
-  /// snapshots are configured exactly once, at publish time.
+  /// Selects the packed-weight backend of the compiled inference plan
+  /// (dense fp32 / CSR sparse / int8 / f16 / int4 — see
+  /// tensor/packed_weights.h). Estimators without a compiled plan ignore it
+  /// (default). Configure before sharing the estimator with serving
+  /// threads: with estimates in flight the switch is memory-safe (plans
+  /// publish atomically — no torn views, see nn/inference_plan.h), but a
+  /// racing forward may serve either backend. Model snapshots are
+  /// configured exactly once, at publish time.
   virtual void SetInferenceBackend(tensor::WeightBackend backend) { (void)backend; }
 
   /// Declares the wrapped model's parameters permanently frozen and pins
-  /// its inference caches to `stamp` (snapshot publication — the
+  /// its compiled-plan caches to `stamp` (snapshot publication — the
   /// serve::ModelRegistry hook, see nn/module.h for the pinning rules).
   /// Estimators over mutable or cache-free models ignore it (default).
   virtual void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) { (void)stamp; }
@@ -81,20 +82,10 @@ class CardinalityEstimator {
     (void)true_cardinality;
   }
 
-  /// Bytes currently held by packed-weight inference caches, including the
-  /// compiled plan's packs (0 for estimators without one, or before the
-  /// first estimate populates them).
+  /// Bytes held by the packed weights of compiled inference plans
+  /// (nn/inference_plan.h; 0 for estimators without one, or before the
+  /// first estimate compiles it).
   virtual uint64_t PackedWeightBytes() const { return 0; }
-
-  /// Enables/disables compiled-plan execution (nn/inference_plan.h) for
-  /// no-grad forwards. Default on for neural estimators; model-free
-  /// estimators ignore it. Configure before sharing, like
-  /// SetInferenceBackend.
-  virtual void SetPlanEnabled(bool enabled) { (void)enabled; }
-
-  /// Bytes held by compiled inference plans (0 without plan support or
-  /// before the first no-grad forward compiles one).
-  virtual uint64_t PlanBytes() const { return 0; }
 
   /// Cumulative wall-clock microseconds spent compiling inference plans.
   virtual uint64_t PlanCompileMicros() const { return 0; }

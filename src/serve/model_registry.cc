@@ -44,17 +44,15 @@ std::shared_ptr<const ModelSnapshot> ModelRegistry::Publish(
   FaultInjector::MaybeThrow(FaultPoint::kPublish, "injected publish failure");
 
   // Configure-then-freeze, all before the snapshot is visible: the
-  // registry's backend/plan choice is applied while this thread is the
-  // model's sole user, then the caches are pinned so the fine-tune worker's
-  // version bumps (or any other model's training) can never invalidate
-  // them.
+  // registry's backend choice is applied while this thread is the model's
+  // sole user, then the plan cache is pinned so the fine-tune worker's
+  // version bumps (or any other model's training) can never invalidate it.
   model->SetInferenceBackend(options_.backend);
-  model->SetPlanEnabled(options_.compile_plans);
   const tensor::SnapshotStamp stamp = tensor::AcquireSnapshotStamp();
   model->FreezeInferenceCaches(stamp);
   if (options_.prewarm) {
-    // One wildcard estimate builds the packs and compiles the plan on the
-    // publisher's thread, so post-swap traffic starts on warm caches.
+    // One wildcard estimate compiles the plan on the publisher's thread,
+    // so post-swap traffic starts on a warm cache.
     model->EstimateSelectivity(query::Query{});
     if (options_.prewarm_arena_batch > 0) {
       // Arena warm-up: one representative-shape batch pass populates this

@@ -4,8 +4,8 @@
 // cheap fine-tuning, not retraining) only pays off if an update can reach
 // production without taking the estimator offline. The registry provides
 // the mechanism: every published model is an immutable, refcounted
-// *snapshot* — weights, packed-weight caches and compiled plan frozen and
-// pinned under one tensor::SnapshotStamp — and the "current" snapshot is a
+// *snapshot* — weights and compiled plan frozen and pinned under one
+// tensor::SnapshotStamp — and the "current" snapshot is a
 // single atomically-swapped shared_ptr. Serving dispatches acquire-load the
 // pointer once per batch and keep their snapshot alive until the batch
 // completes; publishers prepare the next snapshot entirely off to the side
@@ -13,7 +13,7 @@
 // torn state: this is multi-version concurrency for models, the upgrade
 // from the PR 2-4 "bump the global version and repack" coherence scheme
 // (whose caches a concurrently-training clone would otherwise thrash — see
-// the pinning rules in nn/layers.h).
+// the pinning rules in nn/inference_plan.h).
 //
 // Lifecycle (see docs/serving.md for the full state diagram):
 //
@@ -62,15 +62,14 @@ class ModelSnapshot {
 };
 
 /// Registry knobs. The registry owns the inference configuration of every
-/// snapshot it publishes (backend + plan mode are applied before freezing),
+/// snapshot it publishes (the backend is applied before freezing),
 /// so all snapshots of one registry serve under one configuration and a
 /// swap never changes numerics-vs-configuration semantics mid-stream.
 struct RegistryOptions {
   tensor::WeightBackend backend = tensor::WeightBackend::kDenseF32;
-  bool compile_plans = true;
-  /// Build the packs / compile the plan BEFORE the swap (one wildcard
-  /// estimate on the publisher's thread), so the first post-swap dispatch
-  /// never pays the compile latency. Off = lazy build on first traffic.
+  /// Compile the plan BEFORE the swap (one wildcard estimate on the
+  /// publisher's thread), so the first post-swap dispatch never pays the
+  /// compile latency. Off = lazy build on first traffic.
   bool prewarm = true;
   /// With prewarm on: additionally run one wildcard batch of this size so
   /// the publisher thread's InferenceArena free lists (tensor/tensor.h)
@@ -80,7 +79,7 @@ struct RegistryOptions {
   /// counters). The arena is thread-local, so this warms the *publishing*
   /// thread's pools; engine worker threads warm their own on first traffic,
   /// and a swap never invalidates them (pools are keyed by buffer size, not
-  /// by model). 0 disables the batch pass (packs/plan prewarm only).
+  /// by model). 0 disables the batch pass (plan prewarm only).
   int64_t prewarm_arena_batch = 64;
 };
 

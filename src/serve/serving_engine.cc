@@ -80,10 +80,9 @@ ServingEngine::ServingEngine(query::CardinalityEstimator& estimator, ServingOpti
   DUET_CHECK_GE(options_.default_deadline_us, 0);
   DUET_CHECK_GE(options_.breaker_threshold, 1);
   DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // Applied before any worker can estimate: layers repack (and plans
-  // recompile) lazily on their first forward under the new configuration.
+  // Applied before any worker can estimate: plans recompile lazily on
+  // their first forward under the new configuration.
   estimator.SetInferenceBackend(options_.backend);
-  estimator.SetPlanEnabled(options_.compile_plans);
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
 
@@ -96,7 +95,7 @@ ServingEngine::ServingEngine(ModelRegistry& registry, ServingOptions options)
   DUET_CHECK_GE(options_.default_deadline_us, 0);
   DUET_CHECK_GE(options_.breaker_threshold, 1);
   DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // No backend/plan application here: snapshots arrive configured and
+  // No backend application here: snapshots arrive configured and
   // frozen by the registry (RegistryOptions), and reconfiguring a frozen
   // snapshot is not the engine's call to make.
   scheduler_ = std::thread([this] { SchedulerLoop(); });
@@ -112,7 +111,7 @@ ServingEngine::ServingEngine(ModelZoo& zoo, ServingOptions options)
   DUET_CHECK_GE(options_.breaker_threshold, 1);
   DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
   // Like registry mode: artifacts arrive frozen at write time, so the
-  // engine never applies backend/plan configuration.
+  // engine never applies backend configuration.
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
 
@@ -650,9 +649,8 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
       ++fusion_group_count_;
     }
     for (const auto& p : admitted) {
-      RecordLatencyLocked(std::chrono::duration_cast<std::chrono::microseconds>(
-                              done - p->enqueued)
-                              .count());
+      latency_.Record(
+          std::chrono::duration_cast<std::chrono::microseconds>(done - p->enqueued).count());
     }
   }
   for (size_t i = 0; i < expired.size(); ++i) {
@@ -670,31 +668,6 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
   }
 }
 
-void ServingEngine::RecordLatencyLocked(int64_t micros) {
-  if (micros < 0) micros = 0;
-  size_t bucket = 0;
-  while (bucket + 1 < latency_buckets_.size() && (micros >> bucket) > 0) ++bucket;
-  ++latency_buckets_[bucket];
-  ++latency_count_;
-}
-
-namespace {
-
-/// Upper bound of the histogram bucket containing quantile `q` (in [0, 1]).
-double BucketQuantile(const std::array<uint64_t, 40>& buckets, uint64_t count,
-                      double q) {
-  if (count == 0) return 0.0;
-  const double target = q * static_cast<double>(count);
-  double seen = 0.0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    seen += static_cast<double>(buckets[b]);
-    if (seen >= target) return static_cast<double>(1LL << b);
-  }
-  return static_cast<double>(1LL << (buckets.size() - 1));
-}
-
-}  // namespace
-
 ServingStats ServingEngine::stats() const {
   int64_t depth = 0;
   {
@@ -705,9 +678,9 @@ ServingStats ServingEngine::stats() const {
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     snapshot = stats_;
-    snapshot.latency_p50_us = BucketQuantile(latency_buckets_, latency_count_, 0.50);
-    snapshot.latency_p99_us = BucketQuantile(latency_buckets_, latency_count_, 0.99);
-    snapshot.latency_p999_us = BucketQuantile(latency_buckets_, latency_count_, 0.999);
+    snapshot.latency_p50_us = latency_.Quantile(0.50);
+    snapshot.latency_p99_us = latency_.Quantile(0.99);
+    snapshot.latency_p999_us = latency_.Quantile(0.999);
     if (fusion_group_count_ > 0) {
       // Exact median over fused-group sizes (the histogram is keyed by
       // size, so a linear walk is a handful of entries at most).
@@ -734,7 +707,6 @@ ServingStats ServingEngine::stats() const {
   const Target target = Resolve();
   if (target.estimator != nullptr) {
     snapshot.packed_weight_bytes = target.estimator->PackedWeightBytes();
-    snapshot.plan_bytes = target.estimator->PlanBytes();
     snapshot.plan_compile_micros = target.estimator->PlanCompileMicros();
     snapshot.plan_cache_hits = target.estimator->PlanCacheHits();
   }

@@ -39,7 +39,7 @@
 //    contract, and training / fine-tuning / checkpoint loading that
 //    estimator's model must not run while estimates are in flight — drain
 //    futures and stop issuing calls first. Parameter updates then
-//    invalidate the packed caches via tensor::BumpParameterVersion(), so
+//    invalidate the compiled plan via tensor::BumpParameterVersion(), so
 //    serving resumed afterwards sees the new weights. Wrap a ModelRegistry
 //    instead to drop this restriction.
 //
@@ -52,7 +52,6 @@
 #ifndef DUET_SERVE_SERVING_ENGINE_H_
 #define DUET_SERVE_SERVING_ENGINE_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -65,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/latency_histogram.h"
 #include "common/thread_pool.h"
 #include "query/estimator.h"
 #include "query/query.h"
@@ -94,18 +94,12 @@ struct ServingOptions {
   /// (tensor/packed_weights.h). kDenseF32 keeps the bitwise-exact fp32
   /// path; kCsrF32 streams only nonzero masked weights (also bitwise-
   /// exact); kInt8 quarters batch-1 weight traffic at bounded accuracy
-  /// cost; kF16 halves it at a much tighter bound. Fixed-estimator mode
+  /// cost; kF16 halves it at a much tighter bound; kInt4 cuts it to an
+  /// eighth. Fixed-estimator mode
   /// only: in registry mode the registry owns the configuration
   /// (RegistryOptions::backend), so every snapshot serves under one
   /// consistent setting and this field is ignored.
   tensor::WeightBackend backend = tensor::WeightBackend::kDenseF32;
-  /// Compiled-plan execution (nn/inference_plan.h), applied like `backend`
-  /// at construction. On (the default), no-grad forwards run flattened
-  /// packed-op programs with the degree-sorted permutation —
-  /// bitwise-equal for dense/CSR, measurably faster at batch 1 (see
-  /// docs/benchmarks.md plan A/B). Ignored in registry mode
-  /// (RegistryOptions::compile_plans governs).
-  bool compile_plans = true;
   /// Admission control: async queries pending beyond this depth are shed —
   /// their Future completes immediately with a flagged fallback estimate,
   /// never blocking the caller. 0 = unbounded (no shedding).
@@ -172,18 +166,15 @@ struct ServingStats {
   uint64_t snapshot_swaps = 0;
   /// Observed-cardinality pairs routed through ReportObserved.
   uint64_t feedback_reported = 0;
-  /// Bytes held by the serving model's packed-weight caches (including the
-  /// compiled plan's packs) when stats() was taken (0 until first
-  /// estimate); in registry mode, read from the current snapshot.
+  /// Bytes held by the serving model's compiled-plan packed weights when
+  /// stats() was taken (0 until first estimate); in registry mode, read
+  /// from the current snapshot.
   uint64_t packed_weight_bytes = 0;
-  /// Bytes held by compiled inference plans specifically (subset of
-  /// packed_weight_bytes; 0 with plans off).
-  uint64_t plan_bytes = 0;
   /// Cumulative wall-clock microseconds the serving model spent compiling
   /// inference plans (in registry mode: the current snapshot's model).
   uint64_t plan_compile_micros = 0;
   /// Cumulative no-grad forwards served from an already-compiled plan
-  /// (cache hits; 0 with plans off).
+  /// (cache hits).
   uint64_t plan_cache_hits = 0;
   /// Queries whose deadline expired before/during estimation (each also
   /// counts in fallback_served when answered by the fallback).
@@ -207,7 +198,8 @@ struct ServingStats {
   /// queries (log-bucketed histogram: values are bucket upper bounds, ~2x
   /// resolution; 0 until the first async query completes). p999 is reported
   /// at the same quantile set as the network front-end's NetStats
-  /// (src/net/net_stats.h), so in-process and wire latency are comparable.
+  /// (common/latency_histogram.h), so in-process and wire latency are
+  /// comparable.
   double latency_p50_us = 0.0;
   double latency_p99_us = 0.0;
   double latency_p999_us = 0.0;
@@ -256,8 +248,8 @@ class ServingEngine {
 
   /// Registry mode: every dispatch serves the registry's current snapshot;
   /// publishes hot-swap under live traffic with no quiesce. The registry
-  /// must outlive the engine. ServingOptions::backend / compile_plans are
-  /// ignored (RegistryOptions governs them).
+  /// must outlive the engine. ServingOptions::backend is ignored
+  /// (RegistryOptions governs it).
   explicit ServingEngine(ModelRegistry& registry, ServingOptions options = {});
 
   /// Zoo mode: requests are routed by model key through a serve::ModelZoo —
@@ -266,8 +258,8 @@ class ServingEngine {
   /// CHECK-fail. Dispatch pins are ZooPins, so a model serving an in-flight
   /// batch is never evicted under it, and a key whose artifact fails to
   /// load degrades that batch to the fallback (flagged) instead of
-  /// crashing. The zoo must outlive the engine. ServingOptions::backend /
-  /// compile_plans are ignored (artifacts are frozen at write time).
+  /// crashing. The zoo must outlive the engine. ServingOptions::backend is
+  /// ignored (artifacts are frozen at write time).
   explicit ServingEngine(ModelZoo& zoo, ServingOptions options = {});
 
   /// Drains the async queue (every issued Future still completes), then
@@ -448,10 +440,6 @@ class ServingEngine {
   /// Dispatches up to max_batch pending entries (caller holds no locks).
   void DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> batch);
 
-  /// Records one admitted async query's submission-to-completion latency
-  /// into the log-bucketed histogram (caller holds stats_mu_).
-  void RecordLatencyLocked(int64_t micros);
-
   query::CardinalityEstimator* fixed_estimator_ = nullptr;  // fixed mode
   ModelRegistry* registry_ = nullptr;                       // registry mode
   ModelZoo* zoo_ = nullptr;                                 // zoo mode
@@ -478,10 +466,8 @@ class ServingEngine {
 
   mutable std::mutex stats_mu_;
   ServingStats stats_;
-  /// Log-bucketed latency histogram: bucket b counts admitted async queries
-  /// with latency in [2^(b-1), 2^b) microseconds.
-  std::array<uint64_t, 40> latency_buckets_{};
-  uint64_t latency_count_ = 0;
+  /// Submission-to-completion latency of admitted async queries.
+  LatencyHistogram latency_;
   /// Exact histogram of fused dispatch-group sizes (size -> group count;
   /// sizes >= 2 only — bounded by max_batch, so the map stays tiny).
   /// Guarded by stats_mu_; stats() derives fusion_batch_p50 from it.

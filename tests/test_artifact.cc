@@ -101,7 +101,6 @@ TEST_P(ArtifactRoundTripTest, BitwiseIdenticalEstimatesZeroRepacks) {
   const data::Table table = SmallTable();
   core::DuetModel model(table, SmallModelOptions());
   model.SetInferenceBackend(backend);
-  model.SetPlanEnabled(true);
 
   const std::vector<Query> queries = MakeQueries(table, 96);
   const std::vector<double> expected = model.EstimateSelectivityBatch(queries);
@@ -193,7 +192,6 @@ class ArtifactCorruptionTest : public ::testing::Test {
     table_ = SmallTable();
     model_ = std::make_unique<core::DuetModel>(table_, SmallModelOptions());
     model_->SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-    model_->SetPlanEnabled(true);
     queries_ = MakeQueries(table_, 24);
     baseline_ = model_->EstimateSelectivityBatch(queries_);
     good_path_ = TempPath("corrupt_good.duet");
@@ -452,7 +450,6 @@ void CheckGoldenStability(tensor::WeightBackend backend, const std::string& gold
   const data::Table table = GoldenTable();
   core::DuetModel model(table, GoldenModelOptions());
   model.SetInferenceBackend(backend);
-  model.SetPlanEnabled(true);
 
   const std::string fresh_path = TempPath("golden_fresh.duet");
   const ArtifactStatus wst = WriteArtifact(fresh_path, model, backend);

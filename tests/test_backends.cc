@@ -1,15 +1,15 @@
 // Packed-weight backend parity suite (tensor/packed_weights.h).
 //
 // The backend contract under test:
-//  * kDenseF32 is bitwise-identical to the pre-packing inference path,
+//  * kDenseF32 is bitwise-identical to the tracked (autograd) forward,
 //  * kCsrF32 is bitwise-identical to dense (k-ascending accumulation, only
 //    exact zeros skipped) at every batch size,
 //  * kInt8 is accuracy-bounded per layer (|err_j| <= 0.5 * scale_j *
 //    sum|x|) and end-to-end (median q-error within 1% of fp32 on the
 //    seeded synthetic workload),
-//  * every backend obeys the packed-cache coherence rules (optimizer step,
-//    checkpoint load, ParameterMutationGuard) and the batch-invariance
-//    contract the serving engine shards under.
+//  * every backend's compiled plan obeys the cache coherence rules
+//    (optimizer step, checkpoint load, ParameterMutationGuard) and the
+//    batch-invariance contract the serving engine shards under.
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -133,6 +133,17 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
                            return tensor::WeightBackendName(info.param);
                          });
 
+/// One layer's inference under `backend`: the packed kernel a compiled plan
+/// runs for it (unpermuted pack of the effective weight, fused epilogue).
+template <typename Layer>
+Tensor PackedLayerForward(const Layer& layer, const Tensor& x, WeightBackend backend) {
+  tensor::NoGradScope no_grad;
+  return tensor::PackedMatMulBiasAct(
+             x, *tensor::PackWeights(layer.EffectiveWeightCopy(), backend), layer.bias(),
+             tensor::Activation::kNone)
+      .Clone();
+}
+
 /// Exact backends (dense, CSR) must match the tracked reference bitwise;
 /// int8 must stay inside the per-channel quantization bound
 /// |err_j| <= 0.5 * scale_j * sum_k |x_k| (+ tiny fp slack).
@@ -170,15 +181,10 @@ TEST_P(BackendTest, MaskedLinearMatchesTrackedReference) {
     Rng rng(seed);
     const int64_t in = 40 + static_cast<int64_t>(seed), out = 23 + static_cast<int64_t>(seed);
     nn::MaskedLinear layer(in, out, CheckeredMask(in, out), rng);
-    layer.SetInferenceBackend(backend);
     for (int64_t b : {1, 5}) {
       const Tensor x = RandomInput(b, in, seed * 101);
       const Tensor reference = layer.Forward(x).Clone();  // tracked fp32 path
-      Tensor got;
-      {
-        tensor::NoGradScope no_grad;
-        got = layer.Forward(x).Clone();
-      }
+      const Tensor got = PackedLayerForward(layer, x, backend);
       const Tensor wm = tensor::Mul(layer.weight(), layer.mask());
       ExpectLayerParity(got, reference, backend, x, wm);
     }
@@ -189,14 +195,9 @@ TEST_P(BackendTest, LinearMatchesTrackedReference) {
   const WeightBackend backend = GetParam();
   Rng rng(9);
   nn::Linear layer(31, 17, rng);
-  layer.SetInferenceBackend(backend);
   const Tensor x = RandomInput(4, 31, 77);
   const Tensor reference = layer.Forward(x).Clone();
-  Tensor got;
-  {
-    tensor::NoGradScope no_grad;
-    got = layer.Forward(x).Clone();
-  }
+  const Tensor got = PackedLayerForward(layer, x, backend);
   ExpectLayerParity(got, reference, backend, x, layer.weight());
 }
 
@@ -220,13 +221,9 @@ TEST_P(BackendTest, MadeForwardParityOnRandomConfigs) {
     Rng rng(cfg.seed);
     nn::Made made(opt, rng);
     const Tensor x = RandomInput(6, made.input_dim(), cfg.seed * 7, /*zero_prob=*/0.5f);
-    // Reference: the dense inference path (the pre-refactor behavior).
-    made.SetInferenceBackend(WeightBackend::kDenseF32);
-    Tensor reference, got;
-    {
-      tensor::NoGradScope no_grad;
-      reference = made.Forward(x).Clone();
-    }
+    // Reference: the tracked (autograd) forward.
+    const Tensor reference = made.Forward(x).Clone();
+    Tensor got;
     made.SetInferenceBackend(backend);
     {
       tensor::NoGradScope no_grad;
@@ -274,25 +271,34 @@ TEST_P(BackendTest, EstimatesAreBatchSizeInvariant) {
   }
 }
 
+/// A small MADE for the plan-cache coherence tests.
+nn::MadeOptions TinyMadeOptions() {
+  nn::MadeOptions opt;
+  opt.input_widths = {2, 3, 1};
+  opt.output_widths = {3, 2, 2};
+  opt.hidden_sizes = {8};
+  return opt;
+}
+
 /// Cache invalidation (the test_serve masked-weight cache suite, rerun per
-/// backend): an optimizer step must repack, and the repacked forward must
-/// match a cache-cold layer bitwise.
+/// backend): an optimizer step must recompile the plan, and the recompiled
+/// forward must match a cache-cold model bitwise.
 TEST_P(BackendTest, PackedCacheInvalidatedByOptimizerStep) {
   const WeightBackend backend = GetParam();
   Rng rng(5);
-  nn::MaskedLinear layer(6, 4, CheckeredMask(6, 4), rng);
-  layer.SetInferenceBackend(backend);
-  const Tensor x = RandomInput(2, 6, 55);
+  nn::Made made(TinyMadeOptions(), rng);
+  made.SetInferenceBackend(backend);
+  const Tensor x = RandomInput(2, made.input_dim(), 55);
 
   auto no_grad_forward = [&] {
     tensor::NoGradScope scope;
-    return layer.Forward(x).Clone();
+    return made.Forward(x).Clone();
   };
 
   const Tensor before = no_grad_forward();
   {
-    tensor::Sgd sgd({layer.parameters()}, /*lr=*/0.1f);
-    for (const Tensor& p : layer.parameters()) {
+    tensor::Sgd sgd({made.parameters()}, /*lr=*/0.1f);
+    for (const Tensor& p : made.parameters()) {
       Tensor param = p;  // shared handle; grads live on the impl
       float* g = param.grad_data();
       for (int64_t i = 0; i < param.numel(); ++i) g[i] = 1.0f;
@@ -303,15 +309,15 @@ TEST_P(BackendTest, PackedCacheInvalidatedByOptimizerStep) {
   EXPECT_NE(after.value_vector(), before.value_vector())
       << "cache served stale packed weights after an optimizer step";
 
-  // Cache-cold reference: a fresh layer with identical weights (checkpoint
+  // Cache-cold reference: a fresh model with identical weights (checkpoint
   // round-trip) must produce the identical packed forward.
   std::stringstream buf;
   {
     BinaryWriter w(buf);
-    layer.Save(w);
+    made.Save(w);
   }
   Rng rng2(6);
-  nn::MaskedLinear fresh(6, 4, CheckeredMask(6, 4), rng2);
+  nn::Made fresh(TinyMadeOptions(), rng2);
   fresh.SetInferenceBackend(backend);
   {
     BinaryReader r(buf);
@@ -376,7 +382,7 @@ TEST_P(BackendTest, ServingEngineShardsBitwiseUnderBackend) {
 
   const serve::ServingStats stats = engine.stats();
   EXPECT_GT(stats.packed_weight_bytes, 0u)
-      << "packed caches unpopulated after serving traffic";
+      << "plan unpopulated after serving traffic";
 }
 
 // ----- memory observability ------------------------------------------------
@@ -400,8 +406,7 @@ TEST(PackedCacheBytesTest, BackendFootprintsAreOrdered) {
   const uint64_t csr = bytes_under(WeightBackend::kCsrF32);
   const uint64_t int8 = bytes_under(WeightBackend::kInt8);
 
-  // Dense caches a full W o M copy per masked layer (4 bytes/weight; the
-  // PR-2 "silent doubling"). MADE masks are ~50% zeros, so CSR's 8 bytes
+  // A dense plan holds a full W o M copy per masked layer (4 bytes/weight). MADE masks are ~50% zeros, so CSR's 8 bytes
   // per nonzero lands near dense, and int8 is ~4x smaller than dense.
   EXPECT_GT(dense, 0u);
   EXPECT_LT(csr, dense);
@@ -410,7 +415,7 @@ TEST(PackedCacheBytesTest, BackendFootprintsAreOrdered) {
 }
 
 /// Every Made-backed estimator must forward backend selection and report
-/// its packed cache — not inherit the silent no-op defaults (a regression
+/// its plan's packed weights — not inherit the silent no-op defaults (a regression
 /// here means ServingOptions::backend is ignored and packed_weight_bytes
 /// reads 0 for that estimator).
 TEST(PackedCacheBytesTest, NaruEstimatorForwardsBackendAndReportsBytes) {
@@ -430,40 +435,24 @@ TEST(PackedCacheBytesTest, NaruEstimatorForwardsBackendAndReportsBytes) {
             model.made().NumParams() * sizeof(float) / 2.0);
 }
 
-TEST(PackedCacheBytesTest, MaskedLinearCachedBytesMatchesBackend) {
-  Rng rng(5);
-  const int64_t in = 64, out = 32;
-  nn::MaskedLinear layer(in, out, CheckeredMask(in, out), rng);
-  const Tensor x = RandomInput(1, in, 3);
-  EXPECT_EQ(layer.CachedBytes(), 0u);
-
+TEST(PackedCacheBytesTest, MlpPlanFootprintMatchesBackend) {
+  Rng rng(6);
+  const int64_t in = 24, out = 12;
+  nn::Mlp mlp({in, out}, rng);
+  const Tensor x = RandomInput(1, in, 9);
   tensor::NoGradScope no_grad;
-  layer.Forward(x);
-  EXPECT_EQ(layer.CachedBytes(), static_cast<uint64_t>(in * out) * sizeof(float));
 
-  layer.SetInferenceBackend(WeightBackend::kInt8);
-  layer.Forward(x);  // repack on demand
-  EXPECT_EQ(layer.CachedBytes(),
+  mlp.SetInferenceBackend(WeightBackend::kInt8);
+  mlp.Forward(x);
+  EXPECT_EQ(mlp.CachedBytes(),
             static_cast<uint64_t>(in * out) * sizeof(int8_t) +
                 static_cast<uint64_t>(out) * sizeof(float));
-}
 
-TEST(PackedCacheBytesTest, LinearDropsStalePackWhenReturnedToDense) {
-  Rng rng(6);
-  nn::Linear layer(24, 12, rng);
-  const Tensor x = RandomInput(1, 24, 9);
-  tensor::NoGradScope no_grad;
-
-  layer.SetInferenceBackend(WeightBackend::kInt8);
-  layer.Forward(x);
-  EXPECT_GT(layer.CachedBytes(), 0u);
-
-  // Dense inference multiplies by W directly; the int8 pack must not stay
-  // allocated (and counted) behind a path that will never read it.
-  layer.SetInferenceBackend(WeightBackend::kDenseF32);
-  EXPECT_EQ(layer.CachedBytes(), 0u);
-  layer.Forward(x);
-  EXPECT_EQ(layer.CachedBytes(), 0u);
+  // A dense plan over plain Linear weights shares the parameter tensors:
+  // it adds no weight memory, and the int8 program it replaced is freed.
+  mlp.SetInferenceBackend(WeightBackend::kDenseF32);
+  mlp.Forward(x);
+  EXPECT_EQ(mlp.CachedBytes(), 0u);
 }
 
 // ----- end-to-end accuracy guard -------------------------------------------
@@ -522,20 +511,20 @@ TEST(ParameterMutationGuardTest, BumpsVersionOnScopeExit) {
 
 TEST(ParameterMutationGuardTest, RawDataMutationUnderGuardInvalidatesPack) {
   Rng rng(8);
-  nn::MaskedLinear layer(8, 6, CheckeredMask(8, 6), rng);
-  layer.SetInferenceBackend(WeightBackend::kCsrF32);
-  const Tensor x = RandomInput(1, 8, 21);
+  nn::Made made(TinyMadeOptions(), rng);
+  made.SetInferenceBackend(WeightBackend::kCsrF32);
+  const Tensor x = RandomInput(1, made.input_dim(), 21);
 
   auto no_grad_forward = [&] {
     tensor::NoGradScope scope;
-    return layer.Forward(x).Clone();
+    return made.Forward(x).Clone();
   };
   const Tensor before = no_grad_forward();
   {
     // The footgun this guard fixes: mutating W through data() used to
     // require remembering a manual BumpParameterVersion() call.
     tensor::ParameterMutationGuard mutation;
-    Tensor w = layer.parameters()[0];
+    Tensor w = made.parameters()[0];
     for (int64_t i = 0; i < w.numel(); ++i) w.data()[i] += 0.25f;
   }
   const Tensor after = no_grad_forward();

@@ -99,9 +99,9 @@ TEST(ModelRegistryTest, CloneIsBitwiseIdenticalButIndependent) {
   EXPECT_EQ(model.EstimateSelectivityBatch(queries), original);
 }
 
-// The multi-version cache rule: a frozen snapshot's pinned pack/plan caches
-// ignore the global version bumps another model's training emits — no
-// recompiles, no repacks, bitwise-stable estimates.
+// The multi-version cache rule: a frozen snapshot's pinned plan cache
+// ignores the global version bumps another model's training emits — no
+// recompiles, bitwise-stable estimates.
 TEST(LiveUpdateTest, PinnedCachesIgnoreForeignParameterBumps) {
   const data::Table t = SmallTable();
   serve::ModelRegistry registry(
@@ -128,28 +128,6 @@ TEST(LiveUpdateTest, PinnedCachesIgnoreForeignParameterBumps) {
   EXPECT_EQ(snap->estimator().EstimateSelectivityBatch(queries), before);
   EXPECT_EQ(snap->model().PlanInfo().compiles, compiles_before)
       << "pinned plan cache recompiled on a foreign version bump";
-  EXPECT_EQ(snap->model().CachedBytes(), bytes_before);
-}
-
-// Same rule on the per-layer packed path (plans off, CSR backend): the
-// pinned PackedWeightsCache slots keep serving the frozen packs.
-TEST(LiveUpdateTest, PinnedPerLayerPacksIgnoreForeignBumpsWithPlansOff) {
-  const data::Table t = SmallTable();
-  serve::RegistryOptions ropt;
-  ropt.backend = tensor::WeightBackend::kCsrF32;
-  ropt.compile_plans = false;
-  serve::ModelRegistry registry(
-      std::make_unique<core::DuetModel>(t, SmallModelOptions()), ropt);
-  const auto snap = registry.Current();
-  const std::vector<Query> queries = MakeQueries(t, 20);
-
-  const std::vector<double> before = snap->estimator().EstimateSelectivityBatch(queries);
-  const uint64_t bytes_before = snap->model().CachedBytes();
-  ASSERT_GT(bytes_before, 0u);
-  EXPECT_EQ(snap->model().PlanBytes(), 0u);
-
-  tensor::BumpParameterVersion();
-  EXPECT_EQ(snap->estimator().EstimateSelectivityBatch(queries), before);
   EXPECT_EQ(snap->model().CachedBytes(), bytes_before);
 }
 

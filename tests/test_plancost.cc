@@ -126,7 +126,6 @@ struct PlanBed {
       paths.push_back(TempPath(tag + "_" + std::to_string(i)));
       core::DuetModel model(tables[i], TinyModelOptions(100 + i));
       model.SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-      model.SetPlanEnabled(true);
       model.EstimateSelectivityBatch({Query{}});  // compile the plan pre-write
       const artifact::ArtifactStatus st =
           artifact::WriteArtifact(paths[i], model, tensor::WeightBackend::kCsrF32);

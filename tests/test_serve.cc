@@ -1,7 +1,7 @@
-// Serving engine + masked-weight cache: sharded estimation must equal the
+// Serving engine + compiled-plan cache: sharded estimation must equal the
 // single-thread batch path bitwise across ragged batch sizes and worker
-// counts; the masked-weight cache must be invalidated by optimizer steps,
-// fine-tuning and checkpoint loads; async Submit/Wait must return each
+// counts; the plan (which caches the packed W o M) must be invalidated by
+// optimizer steps, fine-tuning and checkpoint loads; async Submit/Wait must return each
 // query's own estimate regardless of micro-batch grouping.
 #include <cmath>
 #include <sstream>
@@ -12,7 +12,7 @@
 #include "core/trainer.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
-#include "nn/layers.h"
+#include "nn/made.h"
 #include "query/workload.h"
 #include "serve/serving_engine.h"
 #include "tensor/optimizer.h"
@@ -64,6 +64,13 @@ TEST(ServingEngineTest, ShardedMatchesSingleThreadBitwise) {
             << "workers=" << workers << " size=" << size << " query=" << i;
       }
     }
+    // Every estimate ran through the compiled plan, and the engine reports
+    // its telemetry and footprint.
+    const serve::ServingStats stats = engine.stats();
+    EXPECT_GT(stats.plan_cache_hits, 0u);
+    EXPECT_GT(stats.plan_compile_micros, 0u);
+    EXPECT_GT(stats.packed_weight_bytes, 0u);
+    EXPECT_EQ(stats.packed_weight_bytes, model.CachedBytes());
   }
 }
 
@@ -256,22 +263,24 @@ TEST(ServingEngineTest, DestructorDrainsShedAndQueuedEntriesTogether) {
   }
 }
 
-// The cache unit test: a MaskedLinear forward with gradients disabled must
-// serve cached W o M, and an optimizer step must invalidate it so the next
-// no-grad forward matches the tracked (uncached) path bitwise.
+// The cache unit test: a MADE forward with gradients disabled serves W o M
+// packed in its compiled plan, and an optimizer step must invalidate the
+// plan so the next no-grad forward matches the tracked path bitwise.
 TEST(MaskedWeightCacheTest, InvalidatedByOptimizerStep) {
   Rng rng(5);
-  tensor::Tensor mask = tensor::Tensor::Zeros({6, 4});
-  for (int64_t i = 0; i < mask.numel(); ++i) mask.data()[i] = (i % 3 == 0) ? 0.0f : 1.0f;
-  nn::MaskedLinear layer(6, 4, mask, rng);
-  tensor::Tensor x = tensor::Tensor::Zeros({2, 6});
+  nn::MadeOptions mopt;
+  mopt.input_widths = {2, 3, 1};
+  mopt.output_widths = {2, 2, 3};
+  mopt.hidden_sizes = {8};
+  nn::Made made(mopt, rng);
+  tensor::Tensor x = tensor::Tensor::Zeros({2, made.input_dim()});
   for (int64_t i = 0; i < x.numel(); ++i) x.data()[i] = 0.1f * static_cast<float>(i % 7) - 0.3f;
 
   auto no_grad_forward = [&] {
     tensor::NoGradScope scope;
-    return layer.Forward(x).Clone();
+    return made.Forward(x).Clone();
   };
-  auto tracked_forward = [&] { return layer.Forward(x).Clone(); };
+  auto tracked_forward = [&] { return made.Forward(x).Clone(); };
 
   // Populate the cache, then check cached == tracked bitwise.
   const tensor::Tensor before_cached = no_grad_forward();
@@ -281,8 +290,8 @@ TEST(MaskedWeightCacheTest, InvalidatedByOptimizerStep) {
   // One SGD step with a synthetic gradient changes W (and bumps the global
   // parameter version).
   {
-    tensor::Sgd sgd({layer.parameters()}, /*lr=*/0.1f);
-    for (const tensor::Tensor& p : layer.parameters()) {
+    tensor::Sgd sgd({made.parameters()}, /*lr=*/0.1f);
+    for (const tensor::Tensor& p : made.parameters()) {
       tensor::Tensor param = p;  // shared handle; grads live on the impl
       float* g = param.grad_data();
       for (int64_t i = 0; i < param.numel(); ++i) g[i] = 1.0f;

@@ -77,7 +77,6 @@ std::vector<double> WriteModelArtifact(const data::Table& table, uint64_t seed,
                                        const std::vector<Query>& queries) {
   core::DuetModel model(table, SmallModelOptions(seed));
   model.SetInferenceBackend(tensor::WeightBackend::kCsrF32);
-  model.SetPlanEnabled(true);
   const std::vector<double> reference = model.EstimateSelectivityBatch(queries);
   const ArtifactStatus st = artifact::WriteArtifact(path, model, tensor::WeightBackend::kCsrF32);
   EXPECT_TRUE(st.ok) << st.error;
