@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/thread_pool.h"
 #include "net/client.h"
 #include "net/net_stats.h"
 #include "net/server.h"
@@ -152,10 +153,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("Network front-end on 127.0.0.1:%u (%s, %lld rows x %d cols, %u workers)\n",
+  std::printf("Network front-end on 127.0.0.1:%u (%s, %lld rows x %d cols, %u pool threads)\n",
               server.port(), table.name().c_str(),
               static_cast<long long>(table.num_rows()), table.num_columns(),
-              engine.num_workers());
+              ThreadPool::Global().num_threads());
 
   // ---- in-process baselines --------------------------------------------
   // Batch-1 closed loop through the SAME async micro-batcher the wire path

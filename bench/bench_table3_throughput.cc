@@ -184,7 +184,6 @@ double MeasureAsyncQps(query::CardinalityEstimator& est,
                        const std::vector<query::Query>& queries, bool fuse,
                        double min_seconds, std::vector<double>* answers) {
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 64;
   sopt.max_wait_us = 200;
   sopt.fuse_requests = fuse;
@@ -266,7 +265,8 @@ void RunInferenceSweep(const Flags& flags, double scale) {
               100.0 * phases.post_ms / total_ms);
 
   // Multi-thread serving sweep: the same chunk protocol through the sharded
-  // ServingEngine. Worker threads run tensor ops serially (shard = unit of
+  // ServingEngine, one process pool size per row (the engine shards on the
+  // process pool). Worker threads run tensor ops serially (shard = unit of
   // parallelism), so speedup here is pure cross-query parallelism.
   const std::vector<unsigned> worker_counts = {1, 2, 4, 8};
   // serving_qps[w][b]
@@ -277,8 +277,8 @@ void RunInferenceSweep(const Flags& flags, double scale) {
               static_cast<long long>(num_queries));
   std::printf("%-8s %-8s %14s %16s\n", "workers", "batch", "queries/s", "vs 1 worker");
   for (size_t w = 0; w < worker_counts.size(); ++w) {
+    ThreadPool::SetGlobalThreads(worker_counts[w]);
     serve::ServingOptions sopt;
-    sopt.num_workers = worker_counts[w];
     sopt.min_shard = 8;
     serve::ServingEngine engine(est, sopt);
     // Determinism check: sharded result must be bitwise equal to the
@@ -295,6 +295,7 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   }
   std::printf("sharded vs single-thread batch: %s\n",
               bitwise_equal ? "bitwise equal" : "MISMATCH");
+  ThreadPool::SetGlobalThreads(1);
 
   // Packed-weight backend sweep (single thread, like the batch sweep):
   // batch-1 is the weight-traffic-bound regime the backends target; batch
@@ -424,7 +425,10 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   // fusion rescues: concurrent singleton requests coalesce into one GEMM
   // that re-reads the packed weights once per group instead of once per
   // query). The two arms must be bitwise identical per request.
+  // The engine serves the estimator's own backend, so the A/B sets dense
+  // explicitly, and its engines shard on a 2-thread process pool.
   bmodel.SetInferenceBackend(tensor::WeightBackend::kDenseF32);
+  ThreadPool::SetGlobalThreads(2);
   std::vector<double> fused_answers, unfused_answers;
   const double fused_qps = MeasureAsyncQps(best, queries, /*fuse=*/true, min_seconds,
                                            &fused_answers);
@@ -561,13 +565,13 @@ void RunLiveUpdateSweep(const Flags& flags, double scale) {
   serve_queries.reserve(feedback_wl.size());
   for (const auto& lq : feedback_wl) serve_queries.push_back(lq.query);
 
-  ThreadPool::SetGlobalThreads(1);
+  // One 2-thread process pool shared by the engine's shards and the
+  // background fine-tune.
+  ThreadPool::SetGlobalThreads(2);
   serve::ModelRegistry registry(std::move(model));  // dense fp32
   const double qerror_before = core::MedianQError(registry.Current()->model(), eval_wl);
 
-  serve::ServingOptions sopt;
-  sopt.num_workers = 2;
-  serve::ServingEngine engine(registry, sopt);
+  serve::ServingEngine engine(registry);
 
   serve::UpdateWorkerOptions wopt;
   wopt.min_feedback = flags.GetInt("live_min_feedback", 96);
@@ -731,14 +735,13 @@ void RunOverloadSweep(const Flags& flags, double scale) {
   const double phase_seconds =
       std::max(0.5, flags.GetDouble("overload_seconds", 4.0 * scale));
 
-  ThreadPool::SetGlobalThreads(1);  // engine workers only, like the live sweep
+  ThreadPool::SetGlobalThreads(workers);  // engine shards run on the process pool
 
   // Calibration: closed-loop async capacity with an unbounded queue and no
   // deadlines — the saturation rate the offered loads are scaled from.
   double capacity_qps = 0.0;
   {
     serve::ServingOptions sopt;
-    sopt.num_workers = workers;
     sopt.max_batch = max_batch;
     sopt.max_wait_us = 1000;
     serve::ServingEngine engine(est, sopt);
@@ -768,7 +771,6 @@ void RunOverloadSweep(const Flags& flags, double scale) {
     PhaseResult r;
     r.offered_qps = rate;
     serve::ServingOptions sopt;
-    sopt.num_workers = workers;
     sopt.max_batch = max_batch;
     sopt.max_wait_us = 1000;
     sopt.max_queue = 2 * max_batch;  // bounded: overload must shed, not queue

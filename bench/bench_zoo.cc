@@ -36,6 +36,7 @@
 #include "artifact/artifact.h"
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "serve/model_zoo.h"
 #include "serve/serving_engine.h"
 #include "tensor/packed_weights.h"
@@ -154,10 +155,9 @@ int main(int argc, char** argv) {
   // ---- phase 3: steady-state Zipf traffic under the budget ----
   uint64_t served = 0;
   double steady_qps = 0.0;
+  ThreadPool::SetGlobalThreads(workers);  // engine shards run on the process pool
   {
-    serve::ServingOptions sopt;
-    sopt.num_workers = workers;
-    serve::ServingEngine engine(zoo, sopt);
+    serve::ServingEngine engine(zoo);
     Rng rng(13);
     ZipfDistribution zipf(static_cast<uint32_t>(num_models), zipf_s);
     std::vector<query::Query> batch_queries(static_cast<size_t>(batch));
@@ -173,6 +173,7 @@ int main(int argc, char** argv) {
     }
     steady_qps = static_cast<double>(served) / timer.Seconds();
   }
+  ThreadPool::SetGlobalThreads(0);
 
   const uint64_t repacks = tensor::PackWeightsCalls() - packs_before;
   const serve::ZooStats stats = zoo.stats();

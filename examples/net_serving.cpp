@@ -69,9 +69,7 @@ int main() {
   core::DuetTrainer(*model, topt).Train();
 
   serve::ModelRegistry registry(std::move(model));
-  serve::ServingOptions sopt;
-  sopt.num_workers = 2;
-  serve::ServingEngine primary_engine(registry, sopt);
+  serve::ServingEngine primary_engine(registry);
   net::NetServer primary(primary_engine);  // ephemeral loopback port
   primary.AttachSnapshotSource(&registry);
   net::WireStatus st = primary.Start();

@@ -65,9 +65,7 @@ int main() {
   core::DuetTrainer(*duet, topt).Train();
 
   serve::ModelRegistry registry(std::move(duet));
-  serve::ServingOptions sopt;
-  sopt.num_workers = 2;
-  serve::ServingEngine engine(registry, sopt);
+  serve::ServingEngine engine(registry);
 
   serve::UpdateWorkerOptions wopt;
   wopt.min_feedback = 128;

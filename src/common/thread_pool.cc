@@ -8,9 +8,9 @@
 namespace duet {
 
 namespace {
-// Nested ParallelFor calls from inside a worker run serially; the global
-// pool's Wait() tracks all in-flight tasks, so re-entering it from a worker
-// would deadlock.
+// Nested ParallelFor calls from inside a worker run serially: a worker that
+// blocked on chunks queued behind it could deadlock the pool once every
+// worker did the same.
 thread_local bool t_inside_worker = false;
 }  // namespace
 
@@ -38,14 +38,8 @@ void ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     DUET_CHECK(!stop_);
     tasks_.push(std::move(task));
-    ++in_flight_;
   }
   task_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -64,14 +58,10 @@ void ThreadPool::WorkerLoop() {
     } catch (...) {
       // A raw Submit task let an exception escape. Unwinding further would
       // reach the thread entry point and terminate the process; swallow it
-      // here so the worker — and the in-flight accounting below — survive.
+      // here so the worker survives.
       escaped_exceptions_.fetch_add(1, std::memory_order_relaxed);
     }
     t_inside_worker = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
   }
 }
 
@@ -117,24 +107,37 @@ void ParallelForChunked(int64_t begin, int64_t end,
     return;
   }
   const int64_t chunk = std::max<int64_t>((n + max_chunks - 1) / max_chunks, grain);
-  // First exception thrown by any chunk, rethrown on the calling thread
-  // after the batch drains so callers see the same behavior as the serial
-  // path (and no exception ever reaches a worker's thread entry point).
-  std::mutex error_mu;
-  std::exception_ptr first_error;
+  // Per-call latch: counts only this call's chunks, so concurrent callers
+  // on the shared pool complete independently. It also holds the first
+  // exception thrown by any chunk, rethrown on the calling thread after the
+  // chunks drain so callers see the same behavior as the serial path (and
+  // no exception ever reaches a worker's thread entry point).
+  struct Latch {
+    std::mutex mu;
+    std::condition_variable cv;
+    int64_t remaining;
+    std::exception_ptr first_error;
+  } latch{{}, {}, (n + chunk - 1) / chunk, nullptr};
   for (int64_t lo = begin; lo < end; lo += chunk) {
     const int64_t hi = std::min(lo + chunk, end);
-    pool.Submit([&fn, &error_mu, &first_error, lo, hi] {
+    pool.Submit([&fn, &latch, lo, hi] {
+      std::exception_ptr error;
       try {
         fn(lo, hi);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = std::current_exception();
+        error = std::current_exception();
       }
+      // Notify while holding the mutex: the caller owns the stack-allocated
+      // latch and may destroy it as soon as it observes remaining == 0,
+      // which it cannot do before this unlock.
+      std::lock_guard<std::mutex> lock(latch.mu);
+      if (error && !latch.first_error) latch.first_error = error;
+      if (--latch.remaining == 0) latch.cv.notify_one();
     });
   }
-  pool.Wait();
-  if (first_error) std::rethrow_exception(first_error);
+  std::unique_lock<std::mutex> lock(latch.mu);
+  latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
+  if (latch.first_error) std::rethrow_exception(latch.first_error);
 }
 
 }  // namespace duet

@@ -18,8 +18,10 @@
 
 namespace duet {
 
-/// Fixed-size worker pool. Tasks are std::function<void()>; Wait() blocks
-/// until all submitted tasks have drained.
+/// Fixed-size worker pool. Tasks are std::function<void()>. There is no
+/// pool-wide barrier: callers that need completion track their own tasks
+/// (ParallelFor/ParallelForChunked wait on a per-call latch), so concurrent
+/// callers sharing one pool never wait on each other's work.
 class ThreadPool {
  public:
   /// Creates `num_threads` workers (0 means std::thread::hardware_concurrency).
@@ -30,15 +32,11 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues one task. If the task lets an exception escape, the pool
-  /// swallows it (the worker survives and in-flight accounting still runs)
-  /// and bumps escaped_exceptions(); batch helpers that need the error —
-  /// ParallelFor/ParallelForChunked — catch inside the task and rethrow on
+  /// swallows it (the worker survives) and bumps escaped_exceptions();
+  /// ParallelFor/ParallelForChunked catch inside the task and rethrow on
   /// the calling thread instead, so raw Submit is the only path that can
   /// reach this backstop.
   void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has completed.
-  void Wait();
 
   unsigned num_threads() const { return static_cast<unsigned>(workers_.size()); }
 
@@ -49,14 +47,16 @@ class ThreadPool {
     return escaped_exceptions_.load(std::memory_order_relaxed);
   }
 
-  /// Process-wide pool (lazily constructed, hardware concurrency).
+  /// Process-wide pool (lazily constructed, hardware concurrency): the one
+  /// executor for kernel chunks and serve::ServingEngine shards alike.
   static ThreadPool& Global();
 
   /// Replaces the global pool with one of `num_threads` workers (0 =
   /// hardware concurrency). The swap itself is atomic, but the old pool is
   /// deleted (its workers joined) on return, so this must only be called
-  /// while no other thread holds Global() — no parallel work in flight.
-  /// Used by the thread-scaling benches.
+  /// while no other thread holds Global() — no parallel work in flight and
+  /// no engine dispatch in flight (a ServingEngine shards on this pool).
+  /// The process's one worker-count knob.
   static void SetGlobalThreads(unsigned num_threads);
 
  private:
@@ -66,8 +66,6 @@ class ThreadPool {
   std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable task_cv_;
-  std::condition_variable done_cv_;
-  uint64_t in_flight_ = 0;
   bool stop_ = false;
   std::atomic<uint64_t> escaped_exceptions_{0};
 };
@@ -76,10 +74,14 @@ class ThreadPool {
 /// contiguous chunks. Falls back to a serial loop for tiny ranges or when
 /// `parallel` is false (useful to measure single-thread costs).
 ///
+/// Completion is per call: the caller waits for its own chunks only, never
+/// for other callers' tasks on the shared pool. Called from inside a pool
+/// worker, the whole range runs inline on that worker.
+///
 /// Exception contract: if fn throws on any chunk, the first exception is
-/// captured, the batch still drains (remaining chunks may or may not run),
-/// and the exception is rethrown on the calling thread — identical to the
-/// serial path, and never fatal to a pool worker.
+/// captured, this call's chunks still drain (remaining chunks may or may not
+/// run), and the exception is rethrown on the calling thread — identical to
+/// the serial path, and never fatal to a pool worker.
 void ParallelFor(int64_t begin, int64_t end, const std::function<void(int64_t)>& fn,
                  bool parallel = true, int64_t grain = 1024);
 

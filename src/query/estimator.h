@@ -71,17 +71,6 @@ class CardinalityEstimator {
   /// Estimators over mutable or cache-free models ignore it (default).
   virtual void FreezeInferenceCaches(const tensor::SnapshotStamp& stamp) { (void)stamp; }
 
-  /// Feedback hook for online adaptation: reports the observed true
-  /// cardinality of a query this estimator served, once the execution
-  /// engine has run the query and counted the result. The default ignores
-  /// it; adaptive serving stacks route these pairs into a feedback buffer
-  /// that a background fine-tune worker drains (serve/update_worker.h).
-  /// Must be cheap and thread-safe — it is called on the serving path.
-  virtual void ObserveTrueCardinality(const Query& query, double true_cardinality) {
-    (void)query;
-    (void)true_cardinality;
-  }
-
   /// Bytes held by the packed weights of compiled inference plans
   /// (nn/inference_plan.h; 0 for estimators without one, or before the
   /// first estimate compiles it).

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "serve/fault_injector.h"
 #include "serve/model_registry.h"
 #include "serve/model_zoo.h"
@@ -72,37 +73,17 @@ Estimate ServingEngine::Future::Result() const {
 }
 
 ServingEngine::ServingEngine(query::CardinalityEstimator& estimator, ServingOptions options)
-    : fixed_estimator_(&estimator), options_(options), pool_(options.num_workers) {
-  DUET_CHECK_GE(options_.min_shard, 1);
-  DUET_CHECK_GE(options_.max_batch, 1);
-  DUET_CHECK_GE(options_.max_wait_us, 0);
-  DUET_CHECK_GE(options_.max_queue, 0);
-  DUET_CHECK_GE(options_.default_deadline_us, 0);
-  DUET_CHECK_GE(options_.breaker_threshold, 1);
-  DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // Applied before any worker can estimate: plans recompile lazily on
-  // their first forward under the new configuration.
-  estimator.SetInferenceBackend(options_.backend);
-  scheduler_ = std::thread([this] { SchedulerLoop(); });
-}
+    : ServingEngine(&estimator, nullptr, nullptr, options) {}
 
 ServingEngine::ServingEngine(ModelRegistry& registry, ServingOptions options)
-    : registry_(&registry), options_(options), pool_(options.num_workers) {
-  DUET_CHECK_GE(options_.min_shard, 1);
-  DUET_CHECK_GE(options_.max_batch, 1);
-  DUET_CHECK_GE(options_.max_wait_us, 0);
-  DUET_CHECK_GE(options_.max_queue, 0);
-  DUET_CHECK_GE(options_.default_deadline_us, 0);
-  DUET_CHECK_GE(options_.breaker_threshold, 1);
-  DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // No backend application here: snapshots arrive configured and
-  // frozen by the registry (RegistryOptions), and reconfiguring a frozen
-  // snapshot is not the engine's call to make.
-  scheduler_ = std::thread([this] { SchedulerLoop(); });
-}
+    : ServingEngine(nullptr, &registry, nullptr, options) {}
 
 ServingEngine::ServingEngine(ModelZoo& zoo, ServingOptions options)
-    : zoo_(&zoo), options_(options), pool_(options.num_workers) {
+    : ServingEngine(nullptr, nullptr, &zoo, options) {}
+
+ServingEngine::ServingEngine(query::CardinalityEstimator* estimator, ModelRegistry* registry,
+                             ModelZoo* zoo, ServingOptions options)
+    : fixed_estimator_(estimator), registry_(registry), zoo_(zoo), options_(options) {
   DUET_CHECK_GE(options_.min_shard, 1);
   DUET_CHECK_GE(options_.max_batch, 1);
   DUET_CHECK_GE(options_.max_wait_us, 0);
@@ -110,8 +91,10 @@ ServingEngine::ServingEngine(ModelZoo& zoo, ServingOptions options)
   DUET_CHECK_GE(options_.default_deadline_us, 0);
   DUET_CHECK_GE(options_.breaker_threshold, 1);
   DUET_CHECK_GE(options_.breaker_cooldown_us, 0);
-  // Like registry mode: artifacts arrive frozen at write time, so the
-  // engine never applies backend configuration.
+  // No backend configuration in any mode: a fixed estimator serves as its
+  // owner configured it, registry snapshots arrive configured and frozen by
+  // the registry (RegistryOptions), and zoo artifacts are frozen at write
+  // time.
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
 
@@ -173,86 +156,48 @@ int64_t ServingEngine::EstimateSharded(const Target& target,
   // so any split yields bitwise the single-thread batch result. All shards
   // run on the one estimator `target` resolved — a mid-batch snapshot
   // publish cannot split a batch across models.
-  const int64_t by_floor = std::max<int64_t>(1, n / options_.min_shard);
+  //
+  // ParallelFor runs a single shard inline on the calling thread, and a
+  // call from inside a pool worker runs every shard inline on that worker.
   const int64_t num_shards =
-      std::min<int64_t>(static_cast<int64_t>(pool_.num_threads()), by_floor);
+      std::min<int64_t>(static_cast<int64_t>(ThreadPool::Global().num_threads()),
+                        std::max<int64_t>(1, n / options_.min_shard));
+  const int64_t base = n / num_shards;
+  const int64_t extra = n % num_shards;  // first `extra` shards get +1
   // Ranges whose neural estimate threw; answered by the fallback after the
   // batch drains. The exception itself is intentionally not preserved: a
   // degraded answer, not an error, is the contract (docs/resilience.md §2).
+  std::mutex failed_mu;
   std::vector<std::pair<int64_t, int64_t>> failed;
-  if (num_shards <= 1) {
-    try {
-      FaultInjector::MaybeThrow(FaultPoint::kNeuralForward,
-                                "injected neural forward failure");
-      const std::vector<double> sels = estimator.EstimateSelectivityBatch(queries);
-      std::copy(sels.begin(), sels.end(), out);
-    } catch (...) {
-      failed.emplace_back(0, n);
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.shards;
-      stats_.neural_failures += static_cast<uint64_t>(failed.size());
-    }
-    for (const auto& [lo, len] : failed) {
-      ServeFallback(queries, lo, len, out);
-      if (degraded != nullptr) std::fill(degraded + lo, degraded + lo + len, true);
-    }
-    return static_cast<int64_t>(failed.size());
-  }
-
-  // Per-call completion latch (NOT pool_.Wait(): that is a pool-wide
-  // barrier, and concurrent client calls must not observe each other).
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    int64_t remaining;
-  } latch{{}, {}, num_shards};
-
-  const int64_t base = n / num_shards;
-  const int64_t extra = n % num_shards;  // first `extra` shards get +1
-  int64_t begin = 0;
-  for (int64_t s = 0; s < num_shards; ++s) {
-    const int64_t len = base + (s < extra ? 1 : 0);
-    const int64_t lo = begin;
-    begin += len;
-    pool_.Submit([&estimator, &queries, &latch, &failed, out, lo, len] {
-      // The catch is the resilience layer's load-bearing wall: a neural
-      // failure (injected or real) must never unwind a pool worker or skip
-      // the latch decrement below — it becomes a fallback-served range.
-      bool ok = true;
-      try {
-        FaultInjector::MaybeThrow(FaultPoint::kNeuralForward,
-                                  "injected neural forward failure");
-        const std::vector<query::Query> shard(queries.begin() + lo,
-                                              queries.begin() + lo + len);
-        const std::vector<double> sels = estimator.EstimateSelectivityBatch(shard);
-        std::copy(sels.begin(), sels.end(), out + lo);
-      } catch (...) {
-        ok = false;
-      }
-      // Notify while holding the mutex: the waiter owns the stack-allocated
-      // latch and may destroy it the moment it can observe remaining == 0,
-      // which it cannot do until this unlock. `failed` shares the latch's
-      // lifetime and lock.
-      std::lock_guard<std::mutex> lock(latch.mu);
-      if (!ok) failed.emplace_back(lo, len);
-      --latch.remaining;
-      latch.cv.notify_one();
-    });
-  }
-  DUET_CHECK_EQ(begin, n);
-  {
-    std::unique_lock<std::mutex> lock(latch.mu);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-  }
+  ParallelFor(
+      0, num_shards,
+      [&](int64_t s) {
+        const int64_t lo = s * base + std::min(s, extra);
+        const int64_t len = base + (s < extra ? 1 : 0);
+        // The catch is the resilience layer's load-bearing wall: a neural
+        // failure (injected or real) must never unwind into the pool — it
+        // becomes a fallback-served range.
+        try {
+          FaultInjector::MaybeThrow(FaultPoint::kNeuralForward,
+                                    "injected neural forward failure");
+          const std::vector<double> sels =
+              len == n ? estimator.EstimateSelectivityBatch(queries)
+                       : estimator.EstimateSelectivityBatch(std::vector<query::Query>(
+                             queries.begin() + lo, queries.begin() + lo + len));
+          std::copy(sels.begin(), sels.end(), out + lo);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(failed_mu);
+          failed.emplace_back(lo, len);
+        }
+      },
+      /*parallel=*/true, /*grain=*/1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.shards += static_cast<uint64_t>(num_shards);
     stats_.neural_failures += static_cast<uint64_t>(failed.size());
   }
-  // Fallback fills run on the dispatching thread, after every shard task
-  // has released the latch (no worker touches `failed` anymore).
+  // Fallback fills run on the dispatching thread, after every shard has
+  // returned (no shard touches `failed` anymore).
   for (const auto& [lo, len] : failed) {
     ServeFallback(queries, lo, len, out);
     if (degraded != nullptr) std::fill(degraded + lo, degraded + lo + len, true);
@@ -513,18 +458,7 @@ void ServingEngine::ReportObserved(const query::Query& query, double true_cardin
     ++stats_.feedback_reported;
   }
   UpdateWorker* worker = feedback_.load(std::memory_order_acquire);
-  if (worker != nullptr) {
-    worker->AddFeedback(query, true_cardinality);
-    return;
-  }
-  // No worker attached: offer the pair to the estimator's own hook (a
-  // no-op for the in-tree estimators unless they override it). Zoo mode
-  // has no single serving model to offer it to — the counter above is the
-  // only effect until a worker is attached.
-  const Target target = Resolve();
-  if (target.estimator != nullptr) {
-    target.estimator->ObserveTrueCardinality(query, true_cardinality);
-  }
+  if (worker != nullptr) worker->AddFeedback(query, true_cardinality);
 }
 
 void ServingEngine::AttachUpdateWorker(UpdateWorker* worker) {

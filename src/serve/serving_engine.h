@@ -5,7 +5,8 @@
 // online use (Fig. 6/7), and *updates* are cheap too — drift is handled by
 // fine-tuning, not retraining (Sec. IV-A/IV-D). ServingEngine covers both:
 //
-//  * EstimateBatch(queries) shards a batch across a private worker pool.
+//  * EstimateBatch(queries) shards a batch across the process pool
+//    (ThreadPool::Global(), the one executor for shards and kernel chunks).
 //    Shards split on query boundaries only, and the kernel invariant (per-
 //    row results are bitwise independent of batch size, see
 //    docs/architecture.md) makes the sharded result bitwise equal to the
@@ -26,7 +27,9 @@
 // Thread-safety contract:
 //  * EstimateBatch and Submit may be called concurrently from any number of
 //    client threads. Completion is tracked per call, never with a global
-//    pool barrier, so concurrent callers cannot observe each other.
+//    pool barrier, so concurrent callers cannot observe each other. A sync
+//    call made from inside a pool worker runs its shards inline on that
+//    worker, so it never blocks one waiting for another.
 //  * Registry mode: parameter updates NEVER touch a served model. The
 //    update path clones the current snapshot, fine-tunes the clone, and
 //    publishes it as a new immutable snapshot whose caches are pinned
@@ -65,10 +68,8 @@
 #include <vector>
 
 #include "common/latency_histogram.h"
-#include "common/thread_pool.h"
 #include "query/estimator.h"
 #include "query/query.h"
-#include "tensor/packed_weights.h"
 
 namespace duet::serve {
 
@@ -78,28 +79,18 @@ class ModelZoo;
 class ZooHandle;
 class UpdateWorker;
 
-/// Serving engine knobs.
+/// Serving engine knobs. There is no worker-count knob: shards run on the
+/// process pool, sized by ThreadPool::SetGlobalThreads.
 struct ServingOptions {
-  /// Worker threads for sharded estimation (0 = hardware concurrency).
-  unsigned num_workers = 0;
-  /// Sync sharding floor: a batch is split into at most
-  /// ceil(batch / min_shard) shards so tiny batches are not scattered
-  /// across workers where per-shard overhead would dominate.
+  /// Sharding floor: a batch is split into at most
+  /// min(pool threads, batch / min_shard) shards (at least one) so tiny
+  /// batches are not scattered across workers where per-shard overhead
+  /// would dominate.
   int64_t min_shard = 8;
   /// Micro-batching: dispatch as soon as this many queries are pending...
   int64_t max_batch = 64;
   /// ...or when the oldest pending query has waited this long.
   int64_t max_wait_us = 200;
-  /// Packed-weight backend applied to the estimator at engine construction
-  /// (tensor/packed_weights.h). kDenseF32 keeps the bitwise-exact fp32
-  /// path; kCsrF32 streams only nonzero masked weights (also bitwise-
-  /// exact); kInt8 quarters batch-1 weight traffic at bounded accuracy
-  /// cost; kF16 halves it at a much tighter bound; kInt4 cuts it to an
-  /// eighth. Fixed-estimator mode
-  /// only: in registry mode the registry owns the configuration
-  /// (RegistryOptions::backend), so every snapshot serves under one
-  /// consistent setting and this field is ignored.
-  tensor::WeightBackend backend = tensor::WeightBackend::kDenseF32;
   /// Admission control: async queries pending beyond this depth are shed —
   /// their Future completes immediately with a flagged fallback estimate,
   /// never blocking the caller. 0 = unbounded (no shedding).
@@ -148,7 +139,7 @@ struct ServingStats {
   uint64_t queries = 0;             ///< queries completed (sync + async)
   uint64_t sync_batches = 0;        ///< EstimateBatch client calls
   uint64_t micro_batches = 0;       ///< async scheduler dispatches
-  uint64_t shards = 0;              ///< shard tasks run on the pool
+  uint64_t shards = 0;              ///< shards run (inline or on the pool)
   int64_t largest_micro_batch = 0;  ///< max async dispatch size observed
   /// Async queries served through a fused dispatch group (size >= 2): the
   /// scheduler coalesced them with concurrent same-target requests into one
@@ -205,10 +196,10 @@ struct ServingStats {
   double latency_p999_us = 0.0;
 };
 
-/// Shards batches across a private worker pool, micro-batches async
+/// Shards batches across the process pool, micro-batches async
 /// single-query traffic, and (in registry mode) hot-swaps model snapshots
-/// under live traffic. One engine owns its workers and scheduler thread;
-/// destruction drains all pending async queries before joining.
+/// under live traffic. One engine owns its scheduler thread; destruction
+/// drains all pending async queries before joining it.
 class ServingEngine {
   struct Pending;  // forward: shared slot between Future and scheduler
 
@@ -243,13 +234,14 @@ class ServingEngine {
 
   /// Fixed-estimator mode: the estimator must outlive the engine and obey
   /// the concurrency contract in query/estimator.h (including its quiesce
-  /// rule for parameter updates).
+  /// rule for parameter updates). The engine serves the estimator as
+  /// configured — set its weight backend (SetInferenceBackend) before
+  /// wrapping it; the engine never changes it.
   explicit ServingEngine(query::CardinalityEstimator& estimator, ServingOptions options = {});
 
   /// Registry mode: every dispatch serves the registry's current snapshot;
   /// publishes hot-swap under live traffic with no quiesce. The registry
-  /// must outlive the engine. ServingOptions::backend is ignored
-  /// (RegistryOptions governs it).
+  /// must outlive the engine. RegistryOptions governs the weight backend.
   explicit ServingEngine(ModelRegistry& registry, ServingOptions options = {});
 
   /// Zoo mode: requests are routed by model key through a serve::ModelZoo —
@@ -258,19 +250,19 @@ class ServingEngine {
   /// CHECK-fail. Dispatch pins are ZooPins, so a model serving an in-flight
   /// batch is never evicted under it, and a key whose artifact fails to
   /// load degrades that batch to the fallback (flagged) instead of
-  /// crashing. The zoo must outlive the engine. ServingOptions::backend is
-  /// ignored (artifacts are frozen at write time).
+  /// crashing. The zoo must outlive the engine. Artifacts are frozen at
+  /// write time, weight backend included.
   explicit ServingEngine(ModelZoo& zoo, ServingOptions options = {});
 
   /// Drains the async queue (every issued Future still completes), then
-  /// stops the scheduler and joins the workers.
+  /// stops and joins the scheduler.
   ~ServingEngine();
 
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Synchronous sharded estimation: splits `queries` into per-worker
-  /// shards on query boundaries and runs them concurrently. Returns exactly
+  /// Synchronous sharded estimation: splits `queries` into shards on query
+  /// boundaries and runs them concurrently on the process pool. Returns exactly
   /// what the serving model's EstimateSelectivityBatch(queries) returns
   /// (bitwise), in order. Safe to call concurrently with other
   /// EstimateBatch / Submit calls — and, in registry mode, with snapshot
@@ -349,9 +341,9 @@ class ServingEngine {
   bool keyed() const { return zoo_ != nullptr; }
 
   /// Feedback hook (the adaptation input): reports the true cardinality the
-  /// execution engine observed for a served query. Routed to the attached
-  /// UpdateWorker's feedback buffer when one is attached, else to the
-  /// estimator's ObserveTrueCardinality hook. Cheap; serving-path safe.
+  /// execution engine observed for a served query. Counted, and routed to
+  /// the attached UpdateWorker's feedback buffer when one is attached (with
+  /// none attached the count is the only effect). Cheap; serving-path safe.
   void ReportObserved(const query::Query& query, double true_cardinality);
 
   /// Attaches (or detaches, with nullptr) the update worker that receives
@@ -371,10 +363,15 @@ class ServingEngine {
   /// Snapshot of the cumulative counters.
   ServingStats stats() const;
 
-  unsigned num_workers() const { return pool_.num_threads(); }
   const ServingOptions& options() const { return options_; }
 
  private:
+  /// The public constructors delegate here: exactly one of `estimator`,
+  /// `registry`, `zoo` is non-null. Validates the options and starts the
+  /// scheduler.
+  ServingEngine(query::CardinalityEstimator* estimator, ModelRegistry* registry,
+                ModelZoo* zoo, ServingOptions options);
+
   /// What one dispatch serves on: the estimator plus (registry mode) the
   /// pinned snapshot keeping it alive for the batch's duration.
   struct Target {
@@ -410,7 +407,7 @@ class ServingEngine {
   /// Counts a dispatch against `target`'s snapshot (swap detection).
   void NoteDispatch(const Target& target);
 
-  /// Runs `queries` sharded across the pool on `target`, writing into
+  /// Runs `queries` sharded across the process pool on `target`, writing into
   /// out[0..n). A shard whose neural estimate throws is answered by the
   /// fallback (flagged in `degraded` when non-null) — the exception never
   /// escapes. Returns the number of failed shards.
@@ -446,8 +443,6 @@ class ServingEngine {
   std::atomic<UpdateWorker*> feedback_{nullptr};
   std::atomic<query::CardinalityEstimator*> fallback_{nullptr};
   ServingOptions options_;
-  ThreadPool pool_;  // private: a shared/global pool would let concurrent
-                     // callers observe each other through pool-wide Wait()
 
   // Circuit breaker (docs/resilience.md §3): lock-free state machine fed by
   // dispatch outcomes. 0 = closed, 1 = open, 2 = half-open (one elected

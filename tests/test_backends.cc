@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "baselines/naru/naru_model.h"
+#include "common/thread_pool.h"
 #include "core/duet_model.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -360,29 +361,53 @@ TEST_P(BackendTest, PackedCacheInvalidatedByCheckpointLoad) {
   EXPECT_EQ(fresh.EstimateSelectivityBatch(queries), after);
 }
 
-/// Sharded serving per backend: the engine applies its configured backend
-/// and stays bitwise-equal to the single-thread batch path (which, for
-/// int8, runs the same int8 kernels — invariance, not fp32 equality).
+/// Sharded serving per backend: the engine serves the estimator's own
+/// backend and stays bitwise-equal to the single-thread batch path (which,
+/// for int8, runs the same int8 kernels — invariance, not fp32 equality).
 TEST_P(BackendTest, ServingEngineShardsBitwiseUnderBackend) {
   const data::Table t = SmallTable();
   core::DuetModelOptions opt;
   opt.hidden_sizes = {32, 32};
   core::DuetModel model(t, opt);
   core::DuetEstimator est(model);
-  serve::ServingOptions sopt;
-  sopt.num_workers = 4;
-  sopt.min_shard = 4;
-  sopt.backend = GetParam();
-  serve::ServingEngine engine(est, sopt);
-  const std::vector<Query> queries = MakeQueries(t, 33);
+  est.SetInferenceBackend(GetParam());
+  ThreadPool::SetGlobalThreads(4);
+  {
+    serve::ServingOptions sopt;
+    sopt.min_shard = 4;
+    serve::ServingEngine engine(est, sopt);
+    const std::vector<Query> queries = MakeQueries(t, 33);
 
-  const std::vector<double> sharded = engine.EstimateBatch(queries);
-  const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
-  EXPECT_EQ(sharded, reference);
+    const std::vector<double> sharded = engine.EstimateBatch(queries);
+    const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
+    EXPECT_EQ(sharded, reference);
 
-  const serve::ServingStats stats = engine.stats();
-  EXPECT_GT(stats.packed_weight_bytes, 0u)
-      << "plan unpopulated after serving traffic";
+    const serve::ServingStats stats = engine.stats();
+    EXPECT_GT(stats.packed_weight_bytes, 0u)
+        << "plan unpopulated after serving traffic";
+  }
+  ThreadPool::SetGlobalThreads(0);
+}
+
+/// Wrapping an estimator in a default-options engine serves it as its
+/// owner configured it: an int8 estimator must not be reset to dense.
+TEST(ServingBackendTest, DefaultEngineKeepsEstimatorBackend) {
+  const data::Table t = SmallTable();
+  core::DuetModelOptions opt;
+  opt.hidden_sizes = {32, 32};
+  core::DuetModel model(t, opt);
+  core::DuetEstimator est(model);
+  const std::vector<Query> queries = MakeQueries(t, 9);
+
+  est.SetInferenceBackend(WeightBackend::kInt8);
+  const std::vector<double> int8_direct = est.EstimateSelectivityBatch(queries);
+  const uint64_t int8_bytes = est.PackedWeightBytes();
+  ASSERT_GT(int8_bytes, 0u);
+
+  serve::ServingEngine engine(est);
+  EXPECT_EQ(engine.EstimateBatch(queries), int8_direct);
+  EXPECT_EQ(engine.stats().packed_weight_bytes, int8_bytes)
+      << "the engine changed the estimator's weight backend";
 }
 
 // ----- memory observability ------------------------------------------------
@@ -416,7 +441,7 @@ TEST(PackedCacheBytesTest, BackendFootprintsAreOrdered) {
 
 /// Every Made-backed estimator must forward backend selection and report
 /// its plan's packed weights — not inherit the silent no-op defaults (a regression
-/// here means ServingOptions::backend is ignored and packed_weight_bytes
+/// here means SetInferenceBackend is ignored and packed_weight_bytes
 /// reads 0 for that estimator).
 TEST(PackedCacheBytesTest, NaruEstimatorForwardsBackendAndReportsBytes) {
   const data::Table t = data::CensusLike(200, 5);

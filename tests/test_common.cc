@@ -1,9 +1,13 @@
 // Unit tests for the common substrate: PRNG + distributions, thread pool,
 // stats, serialization, flags.
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/flags.h"
@@ -170,24 +174,80 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 800);
 }
 
+// Polls `done` until it holds or five seconds pass; returns whether it held.
+template <typename Pred>
+bool PollFor(Pred done) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 TEST(ThreadPoolTest, EscapedSubmitExceptionDoesNotKillWorkers) {
   // A raw Submit task that throws must not terminate the process or wedge
   // the pool: the worker swallows it, bumps the counter, and keeps serving.
-  ThreadPool pool(2);
+  std::atomic<int64_t> sum{0};
+  std::atomic<int64_t> ran{0};
+  ThreadPool pool(2);  // declared last: its dtor drains before sum/ran die
   const uint64_t before = pool.escaped_exceptions();
   for (int i = 0; i < 4; ++i) {
     pool.Submit([] { throw std::runtime_error("task failed"); });
   }
-  pool.Wait();
-  EXPECT_EQ(pool.escaped_exceptions(), before + 4);
+  ASSERT_TRUE(PollFor([&] { return pool.escaped_exceptions() == before + 4; }));
   // The pool is still fully operational afterwards.
-  std::atomic<int64_t> sum{0};
   for (int i = 0; i < 100; ++i) {
-    pool.Submit([&, i] { sum += i; });
+    pool.Submit([&, i] {
+      sum += i;
+      ++ran;
+    });
   }
-  pool.Wait();
+  ASSERT_TRUE(PollFor([&] { return ran.load() == 100; }));
   EXPECT_EQ(sum.load(), 4950);
   EXPECT_EQ(pool.escaped_exceptions(), before + 4);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersCompleteIndependently) {
+  // Completion is per call: caller B's ParallelFor returns while caller A's
+  // chunk still occupies one of the two workers. A pool-wide barrier would
+  // make B wait out A's blocked chunk (its 5 s timeout).
+  ThreadPool::SetGlobalThreads(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_blocking = false;
+  bool b_returned = false;
+  std::thread caller_a([&] {
+    ParallelFor(
+        0, 2,
+        [&](int64_t i) {
+          if (i != 0) return;
+          std::unique_lock<std::mutex> lock(mu);
+          a_blocking = true;
+          cv.notify_all();
+          cv.wait_for(lock, std::chrono::seconds(5), [&] { return b_returned; });
+        },
+        /*parallel=*/true, /*grain=*/1);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return a_blocking; });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<int64_t> sum{0};
+  ParallelFor(0, 100, [&](int64_t i) { sum += i; }, /*parallel=*/true, /*grain=*/1);
+  const int64_t elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    b_returned = true;
+  }
+  cv.notify_all();
+  caller_a.join();
+  EXPECT_EQ(sum.load(), 4950);
+  EXPECT_LT(elapsed_ms, 1000) << "caller B waited on caller A's chunk";
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(ThreadPoolTest, ParallelForChunkedRethrowsOnCaller) {

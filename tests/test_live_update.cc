@@ -136,7 +136,6 @@ TEST(LiveUpdateTest, HotSwapServesNewSnapshotWithoutQuiesce) {
   serve::ModelRegistry registry(
       std::make_unique<core::DuetModel>(t, SmallModelOptions()));
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.min_shard = 4;
   serve::ServingEngine engine(registry, sopt);
   const std::vector<Query> queries = MakeQueries(t, 30);
@@ -190,7 +189,6 @@ TEST(LiveUpdateTest, SnapshotIsolationUnderConcurrentPublishChurn) {
   id_to_ref[registry.Current()->id()] = kInitialRef;
 
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.min_shard = 8;
   serve::ServingEngine engine(registry, sopt);
 
@@ -260,7 +258,6 @@ TEST(LiveUpdateTest, AsyncSubmitDuringChurnMatchesSomeSnapshot) {
   }
 
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 8;
   sopt.max_wait_us = 100;
   serve::ServingEngine engine(registry, sopt);
@@ -476,7 +473,6 @@ TEST(LiveUpdateTest, NoLeakedSnapshotsAfterChurn) {
 
   {
     serve::ServingOptions sopt;
-    sopt.num_workers = 2;
     sopt.min_shard = 8;
     serve::ServingEngine engine(registry, sopt);
     std::thread client([&] {
@@ -512,7 +508,6 @@ TEST(LiveUpdateTest, BackgroundWorkerAdaptsUnderLiveTraffic) {
   serve::UpdateWorker worker(registry, wopt);
   worker.Start();
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   serve::ServingEngine engine(registry, sopt);
   engine.AttachUpdateWorker(&worker);
 

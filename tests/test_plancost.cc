@@ -29,6 +29,7 @@
 #include "artifact/artifact.h"
 #include "baselines/traditional/independence.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/duet_model.h"
 #include "data/table.h"
 #include "gtest/gtest.h"
@@ -241,8 +242,10 @@ TEST_F(PlanCostTest, ChosenPlanBitwiseIdenticalAcrossEngineConfigs) {
     return planner.Plan(provider);
   };
 
-  serve::ServingOptions base_opts;
-  base_opts.num_workers = 1;
+  // The process pool size sets the shard count; the baseline runs on one
+  // worker. No engine is alive across a resize.
+  ThreadPool::SetGlobalThreads(1);
+  const serve::ServingOptions base_opts;
   const PlanSearchResult baseline = plan_with(base_opts, {});
   ASSERT_EQ(baseline.plan.order.size(), 3u);
   EXPECT_EQ(baseline.degraded_estimates, 0u);
@@ -250,16 +253,15 @@ TEST_F(PlanCostTest, ChosenPlanBitwiseIdenticalAcrossEngineConfigs) {
   // Shard count, fusion, sequential fetching and the unmemoized fan-out
   // must not move the plan by a single bit.
   {
-    serve::ServingOptions opts;
-    opts.num_workers = 4;
-    const PlanSearchResult res = plan_with(opts, {});
+    ThreadPool::SetGlobalThreads(4);
+    const PlanSearchResult res = plan_with(base_opts, {});
+    ThreadPool::SetGlobalThreads(1);
     EXPECT_EQ(res.plan.order, baseline.plan.order);
     EXPECT_EQ(res.plan.estimated_cost, baseline.plan.estimated_cost);
     EXPECT_EQ(res.plan.true_cost, baseline.plan.true_cost);
   }
   {
     serve::ServingOptions opts;
-    opts.num_workers = 1;
     opts.fuse_requests = false;
     const PlanSearchResult res = plan_with(opts, {});
     EXPECT_EQ(res.plan.order, baseline.plan.order);
@@ -280,6 +282,7 @@ TEST_F(PlanCostTest, ChosenPlanBitwiseIdenticalAcrossEngineConfigs) {
     EXPECT_EQ(res.plan.order, baseline.plan.order);
     EXPECT_EQ(res.plan.estimated_cost, baseline.plan.estimated_cost);
   }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST_F(PlanCostTest, ChosenPlanBitwiseIdenticalAcrossSimdTiers) {
@@ -291,9 +294,7 @@ TEST_F(PlanCostTest, ChosenPlanBitwiseIdenticalAcrossSimdTiers) {
   const auto plan_once = [&]() {
     serve::ModelZoo zoo;
     bed.RegisterAll(zoo);
-    serve::ServingOptions sopt;
-    sopt.num_workers = 1;
-    serve::ServingEngine engine(zoo, sopt);
+    serve::ServingEngine engine(zoo);
     ServingCardinalityProvider provider(engine, bed.keys, stats);
     return planner.Plan(provider);
   };
@@ -318,9 +319,7 @@ TEST_F(PlanCostTest, RemotePlannerMatchesInProcessBitwise) {
   PlanBed bed("remote");
   serve::ModelZoo zoo;
   bed.RegisterAll(zoo);
-  serve::ServingOptions sopt;
-  sopt.num_workers = 1;
-  serve::ServingEngine engine(zoo, sopt);
+  serve::ServingEngine engine(zoo);
   net::NetServer server(engine);
   const net::WireStatus started = server.Start();
   ASSERT_TRUE(started.ok) << started.error;
@@ -354,7 +353,6 @@ TEST_F(PlanCostTest, BreakerTrippedEngineDegradesPlanSearchNotCrashes) {
   serve::ModelZoo zoo;
   bed.RegisterAll(zoo);
   serve::ServingOptions sopt;
-  sopt.num_workers = 1;
   sopt.breaker_threshold = 2;
   serve::ServingEngine engine(zoo, sopt);
   baselines::IndependenceEstimator fallback(bed.tables[0]);
@@ -384,7 +382,6 @@ TEST_F(PlanCostTest, ExpiredDeadlinesDegradeEveryEstimateButPlanCompletes) {
   serve::ModelZoo zoo;
   bed.RegisterAll(zoo);
   serve::ServingOptions sopt;
-  sopt.num_workers = 1;
   sopt.max_wait_us = 20000;  // scheduler waits far longer than the deadline
   serve::ServingEngine engine(zoo, sopt);
 

@@ -70,7 +70,6 @@ TEST_F(ResilienceTest, BoundedQueueShedsWithFlaggedFallbackAnswer) {
   baselines::IndependenceEstimator fallback(t);
 
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_queue = 2;
   sopt.max_batch = 64;                  // size trigger never fires
   sopt.max_wait_us = 200 * 1000;        // scheduler holds the queued entries
@@ -108,7 +107,6 @@ TEST_F(ResilienceTest, ShedWithoutFallbackStillCompletesFlagged) {
   core::DuetModel model(t, SmallModelOptions());
   core::DuetEstimator est(model);
   serve::ServingOptions sopt;
-  sopt.num_workers = 1;
   sopt.max_queue = 1;
   sopt.max_batch = 64;
   sopt.max_wait_us = 200 * 1000;
@@ -131,7 +129,6 @@ TEST_F(ResilienceTest, ExpiredDeadlineServedByFallbackAndFlagged) {
   baselines::IndependenceEstimator fallback(t);
 
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 64;            // only the wait trigger dispatches
   sopt.max_wait_us = 30 * 1000;   // 30 ms: far beyond the 1 us deadlines
   serve::ServingEngine engine(est, sopt);
@@ -158,7 +155,6 @@ TEST_F(ResilienceTest, GenerousDeadlineIsNotDropped) {
   core::DuetModel model(t, SmallModelOptions());
   core::DuetEstimator est(model);
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 4;
   sopt.max_wait_us = 1000;
   serve::ServingEngine engine(est, sopt);
@@ -206,7 +202,7 @@ TEST_F(ResilienceTest, NeuralForwardFailureDegradesToFallback) {
   core::DuetEstimator est(model);
   baselines::IndependenceEstimator fallback(t);
   serve::ServingOptions sopt;
-  sopt.num_workers = 1;  // single shard: the whole batch degrades together
+  sopt.min_shard = 64;  // single shard: the whole batch degrades together
   serve::ServingEngine engine(est, sopt);
   engine.AttachFallback(&fallback);
 
@@ -245,7 +241,7 @@ TEST_F(ResilienceTest, InfrastructureFaultsDegradeNotCrash) {
     core::DuetModel model(t, SmallModelOptions());
     core::DuetEstimator est(model);
     serve::ServingOptions sopt;
-    sopt.num_workers = 1;
+    sopt.min_shard = 64;  // single shard: one fault degrades the whole batch
     serve::ServingEngine engine(est, sopt);
     engine.AttachFallback(&fallback);
 
@@ -275,7 +271,7 @@ TEST_F(ResilienceTest, BreakerTripsOpenAndProbesClosed) {
   core::DuetEstimator est(model);
   baselines::IndependenceEstimator fallback(t);
   serve::ServingOptions sopt;
-  sopt.num_workers = 1;
+  sopt.min_shard = 64;  // single shard: one fault per dispatch
   sopt.breaker_threshold = 2;
   sopt.breaker_cooldown_us = 1;  // probe immediately in this test
   serve::ServingEngine engine(est, sopt);
@@ -312,7 +308,7 @@ TEST_F(ResilienceTest, OpenBreakerServesFallbackWithoutNeuralAttempts) {
   core::DuetEstimator est(model);
   baselines::IndependenceEstimator fallback(t);
   serve::ServingOptions sopt;
-  sopt.num_workers = 1;
+  sopt.min_shard = 64;  // single shard: one fault per dispatch
   sopt.breaker_threshold = 1;
   sopt.breaker_cooldown_us = 60 * 1000 * 1000;  // never elapses in-test
   serve::ServingEngine engine(est, sopt);
@@ -482,7 +478,6 @@ TEST_F(ResilienceTest, RegistryEngineSurvivesFaultStorm) {
       std::make_unique<core::DuetModel>(t, SmallModelOptions()));
   baselines::IndependenceEstimator fallback(t);
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 4;
   sopt.max_wait_us = 1000;
   sopt.breaker_threshold = 3;

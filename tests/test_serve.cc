@@ -1,12 +1,16 @@
 // Serving engine + compiled-plan cache: sharded estimation must equal the
-// single-thread batch path bitwise across ragged batch sizes and worker
-// counts; the plan (which caches the packed W o M) must be invalidated by
-// optimizer steps, fine-tuning and checkpoint loads; async Submit/Wait must return each
+// single-thread batch path bitwise across ragged batch sizes and process
+// pool sizes (also when called from inside a pool worker); the plan (which
+// caches the packed W o M) must be invalidated by optimizer steps,
+// fine-tuning and checkpoint loads; async Submit/Wait must return each
 // query's own estimate regardless of micro-batch grouping.
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/duet_model.h"
 #include "core/finetune.h"
 #include "core/trainer.h"
@@ -46,14 +50,18 @@ TEST(ServingEngineTest, ShardedMatchesSingleThreadBitwise) {
   const std::vector<Query> all = MakeQueries(t, 130);
 
   // Ragged sizes hit the 1-query, sub-min_shard, uneven-split and
-  // larger-than-workers regimes.
+  // larger-than-workers regimes. The shard count follows the process pool
+  // size, so each pool size is its own sharding.
   const std::vector<int> sizes = {1, 2, 3, 7, 16, 33, 64, 65, 130};
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
+    ThreadPool::SetGlobalThreads(workers);
     serve::ServingOptions sopt;
-    sopt.num_workers = workers;
     sopt.min_shard = 4;
     serve::ServingEngine engine(est, sopt);
+    uint64_t expected_shards = 0;
     for (int size : sizes) {
+      expected_shards += static_cast<uint64_t>(
+          std::min<int>(static_cast<int>(workers), std::max(1, size / 4)));
       const std::vector<Query> batch(all.begin(), all.begin() + size);
       const std::vector<double> reference = est.EstimateSelectivityBatch(batch);
       const std::vector<double> sharded = engine.EstimateBatch(batch);
@@ -67,11 +75,44 @@ TEST(ServingEngineTest, ShardedMatchesSingleThreadBitwise) {
     // Every estimate ran through the compiled plan, and the engine reports
     // its telemetry and footprint.
     const serve::ServingStats stats = engine.stats();
+    EXPECT_EQ(stats.shards, expected_shards) << "workers=" << workers;
     EXPECT_GT(stats.plan_cache_hits, 0u);
     EXPECT_GT(stats.plan_compile_micros, 0u);
     EXPECT_GT(stats.packed_weight_bytes, 0u);
     EXPECT_EQ(stats.packed_weight_bytes, model.CachedBytes());
   }
+  ThreadPool::SetGlobalThreads(0);
+}
+
+// A sync EstimateBatch issued from inside a pool worker runs its shards
+// inline on that worker: it must neither deadlock (every worker may be
+// inside such a call at once) nor change any answer.
+TEST(ServingEngineTest, EstimateBatchInsideParallelForIsInlineAndBitwise) {
+  const data::Table t = SmallTable();
+  core::DuetModelOptions opt;
+  opt.hidden_sizes = {32, 32};
+  core::DuetModel model(t, opt);
+  core::DuetEstimator est(model);
+  const std::vector<Query> queries = MakeQueries(t, 40);
+  const std::vector<double> reference = est.EstimateSelectivityBatch(queries);
+
+  ThreadPool::SetGlobalThreads(2);
+  {
+    serve::ServingOptions sopt;
+    sopt.min_shard = 4;
+    serve::ServingEngine engine(est, sopt);
+    constexpr int64_t kCallers = 8;
+    std::vector<std::vector<double>> got(kCallers);
+    ParallelFor(
+        0, kCallers,
+        [&](int64_t c) { got[static_cast<size_t>(c)] = engine.EstimateBatch(queries); },
+        /*parallel=*/true, /*grain=*/1);
+    for (int64_t c = 0; c < kCallers; ++c) {
+      EXPECT_EQ(got[static_cast<size_t>(c)], reference) << "caller " << c;
+    }
+    EXPECT_EQ(engine.stats().sync_batches, static_cast<uint64_t>(kCallers));
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(ServingEngineTest, ConcurrentSyncCallersDoNotInterfere) {
@@ -80,23 +121,25 @@ TEST(ServingEngineTest, ConcurrentSyncCallersDoNotInterfere) {
   opt.hidden_sizes = {32, 32};
   core::DuetModel model(t, opt);
   core::DuetEstimator est(model);
-  serve::ServingOptions sopt;
-  sopt.num_workers = 4;
-  sopt.min_shard = 2;
-  serve::ServingEngine engine(est, sopt);
-
   const std::vector<Query> qa = MakeQueries(t, 40, 1);
   const std::vector<Query> qb = MakeQueries(t, 23, 2);
   const std::vector<double> ra = est.EstimateSelectivityBatch(qa);
   const std::vector<double> rb = est.EstimateSelectivityBatch(qb);
 
-  std::vector<double> got_a, got_b;
-  std::thread ta([&] { got_a = engine.EstimateBatch(qa); });
-  std::thread tb([&] { got_b = engine.EstimateBatch(qb); });
-  ta.join();
-  tb.join();
-  EXPECT_EQ(got_a, ra);
-  EXPECT_EQ(got_b, rb);
+  ThreadPool::SetGlobalThreads(4);
+  {
+    serve::ServingOptions sopt;
+    sopt.min_shard = 2;
+    serve::ServingEngine engine(est, sopt);
+    std::vector<double> got_a, got_b;
+    std::thread ta([&] { got_a = engine.EstimateBatch(qa); });
+    std::thread tb([&] { got_b = engine.EstimateBatch(qb); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(got_a, ra);
+    EXPECT_EQ(got_b, rb);
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(ServingEngineTest, AsyncSubmitWaitReturnsPerQueryResults) {
@@ -109,7 +152,6 @@ TEST(ServingEngineTest, AsyncSubmitWaitReturnsPerQueryResults) {
   // Tiny max_batch forces several micro-batches; a long max_wait exercises
   // the size trigger, and destruction drains whatever is left.
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 4;
   sopt.max_wait_us = 50 * 1000;
   const std::vector<Query> queries = MakeQueries(t, 30);
@@ -145,7 +187,6 @@ TEST(ServingEngineTest, FusionIsBitwiseInvariantAndCounted) {
 
   for (const bool fuse : {true, false}) {
     serve::ServingOptions sopt;
-    sopt.num_workers = 2;
     sopt.max_batch = 8;
     sopt.max_wait_us = 50 * 1000;
     sopt.fuse_requests = fuse;
@@ -181,7 +222,6 @@ TEST(ServingEngineTest, DestructorDrainsPendingFutures) {
   std::vector<serve::ServingEngine::Future> futures;
   {
     serve::ServingOptions sopt;
-    sopt.num_workers = 2;
     sopt.max_batch = 64;          // never reached by 9 queries
     sopt.max_wait_us = 10 * 1000 * 1000;  // nor the deadline: dtor must drain
     serve::ServingEngine engine(est, sopt);
@@ -209,7 +249,6 @@ TEST(ServingEngineTest, DestructorDrainRacesDeadlineExpiry) {
     std::vector<serve::ServingEngine::Future> futures;
     {
       serve::ServingOptions sopt;
-      sopt.num_workers = 2;
       sopt.max_batch = 64;                 // size trigger never fires
       sopt.max_wait_us = 10 * 1000 * 1000; // dtor does the dispatch
       serve::ServingEngine engine(est, sopt);
@@ -243,7 +282,6 @@ TEST(ServingEngineTest, DestructorDrainsShedAndQueuedEntriesTogether) {
   uint64_t shed = 0;
   {
     serve::ServingOptions sopt;
-    sopt.num_workers = 2;
     sopt.max_queue = 3;                  // most submissions shed immediately
     sopt.max_batch = 64;
     sopt.max_wait_us = 10 * 1000 * 1000;
@@ -357,7 +395,6 @@ TEST(MaskedWeightCacheTest, ServingSeesFineTunedWeights) {
   core::DuetModel model(t, opt);
   core::DuetEstimator est(model);
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.min_shard = 4;
   serve::ServingEngine engine(est, sopt);
 

@@ -339,7 +339,6 @@ TEST(ZooServingTest, KeyedEstimateBatchMatchesDirectModelBitwise) {
   serve::ModelZoo zoo;
   bed.RegisterAll(zoo);
   serve::ServingOptions sopt;
-  sopt.num_workers = 3;
   serve::ServingEngine engine(zoo, sopt);
 
   for (size_t m = 0; m < bed.keys.size(); ++m) {
@@ -382,7 +381,6 @@ TEST(ZooServingTest, KeyedSubmitGroupsMicroBatchesByModel) {
   serve::ModelZoo zoo;
   bed.RegisterAll(zoo);
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   sopt.max_batch = 16;
   sopt.max_wait_us = 2000;
   serve::ServingEngine engine(zoo, sopt);
@@ -429,7 +427,6 @@ TEST(ZooServingTest, ConcurrentServePublishEvictStaysBitwise) {
   bed.RegisterAll(zoo);
 
   serve::ServingOptions sopt;
-  sopt.num_workers = 2;
   serve::ServingEngine engine(zoo, sopt);
 
   std::atomic<bool> stop{false};
