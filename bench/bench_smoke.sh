@@ -6,13 +6,10 @@
 #   bench/bench_smoke.sh <build_dir>
 #
 # DUET_BENCH_SCALE shrinks datasets/workloads/training budgets; 0.05 keeps
-# the whole sweep in CI-friendly time. DUET_BENCH_BACKENDS selects which
-# packed-weight backends the throughput sweep smoke-runs (default: all
-# five, so none of the backend code paths can silently bit-rot).
+# the whole sweep in CI-friendly time.
 set -u
 BUILD_DIR="${1:-build}"
 export DUET_BENCH_SCALE="${DUET_BENCH_SCALE:-0.05}"
-BACKENDS="${DUET_BENCH_BACKENDS:-dense,csr,int8,f16,int4}"
 
 status=0
 ran=0
@@ -21,12 +18,12 @@ for bin in "$BUILD_DIR"/bench_*; do
   name="$(basename "$bin")"
   extra=""
   case "$name" in
-    # Keep the inference sweep short; coverage, not measurement. --backend
-    # makes every packed-weight backend compile and run its plan, and
-    # the tiny --live_update run exercises the registry/hot-swap/worker
-    # pipeline end to end.
+    # Keep the inference sweep short; coverage, not measurement. The
+    # backend sweep's default is every packed-weight backend, so each one
+    # compiles and runs its plan, and the tiny --live_update run exercises
+    # the registry/hot-swap/worker pipeline end to end.
     bench_table3_throughput)
-      extra="--sweep_queries=64 --sweep_min_seconds=0.05 --backend=$BACKENDS"
+      extra="--sweep_queries=64 --sweep_min_seconds=0.05"
       extra="$extra --live_update --live_queries=128 --live_publishes=1"
       extra="$extra --live_min_seconds=0.5 --live_max_seconds=30"
       # The overload sweep smoke-runs the admission-control path (bounded

@@ -10,12 +10,12 @@
 //  * a multi-thread serving sweep through serve::ServingEngine (1/2/4/8
 //    workers x the same batch sizes), with a bitwise sharded-vs-single-
 //    thread equality check, and
-//  * a packed-weight backend sweep (dense fp32 / CSR sparse / int8 / f16 /
-//    int4) through the compiled inference plan: batch-1 and batch-64
+//  * a packed-weight backend sweep (dense fp32 / CSR sparse / int8 / int4)
+//    through the compiled inference plan: batch-1 and batch-64
 //    queries/sec per backend, the plan's packed-weight footprint, plan
 //    compile time / cache hits, and the median q-error delta vs the fp32
 //    path on the seeded workload (exactly 0 for CSR, bounded for
-//    int8/f16/int4), and
+//    int8/int4), and
 //  * a cross-request fusion A/B through the async micro-batcher: the same
 //    batch-1 submission stream with GEMV->GEMM fusion on vs off, with a
 //    bitwise per-request identity check between the two arms (fusion
@@ -42,7 +42,7 @@
 //
 // Flags: --datasets=census,kdd,dmv --batch=N --sweep_queries=N
 //        --sweep_min_seconds=S --sweep=0|1 --sweep_scalar=0|1
-//        --sweep_hidden=N --backend=dense,csr,int8,f16,int4 --backend_hidden=N
+//        --sweep_hidden=N --backend=dense,csr,int8,int4 --backend_hidden=N
 //        --live_update --live_hidden=N --live_queries=N
 //        --live_publishes=N --live_min_seconds=S --live_max_seconds=S
 //        --overload --overload_hidden=N --overload_workers=N
@@ -318,10 +318,10 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   // SIMD instead of the weight formats.
   tensor::SetUseScalarKernels(false);
 
-  // --backend: comma-separated subset of dense,csr,int8,f16,int4, swept in
+  // --backend: comma-separated subset of dense,csr,int8,int4, swept in
   // the given order. Unknown names are a hard error — a typo must not let
   // the smoke run silently skip every backend code path.
-  const std::string backend_list = flags.GetString("backend", "dense,csr,int8,f16,int4");
+  const std::string backend_list = flags.GetString("backend", "dense,csr,int8,int4");
   std::vector<tensor::WeightBackend> backends;
   for (size_t pos = 0; pos <= backend_list.size();) {
     size_t comma = backend_list.find(',', pos);
@@ -332,7 +332,7 @@ void RunInferenceSweep(const Flags& flags, double scale) {
     tensor::WeightBackend parsed;
     if (!tensor::ParseWeightBackend(token, &parsed)) {
       std::fprintf(stderr,
-                   "unknown --backend entry '%s' (expected dense,csr,int8,f16,int4)\n",
+                   "unknown --backend entry '%s' (expected dense,csr,int8,int4)\n",
                    token.c_str());
       std::exit(1);  // a typo must fail the run, not skip the sweep
     }
@@ -482,7 +482,7 @@ void RunInferenceSweep(const Flags& flags, double scale) {
   // Backend sweep: one row per packed-weight backend. qerror_delta is
   // relative to the dense (fp32) median q-error; best_nondense_b1_speedup is
   // the best non-dense batch-1 throughput over dense (the ROADMAP's
-  // weight-traffic lever, expected > 1 from CSR/int8/f16).
+  // weight-traffic lever, expected > 1 from CSR/int8).
   json += ",\"backend_sweep\":{\"results\":[";
   double dense_b1 = 0.0, best_nondense_b1 = 0.0;
   for (size_t i = 0; i < brows.size(); ++i) {

@@ -32,8 +32,11 @@ constexpr int64_t kMaxQueriesPerForward = 4096;
 /// canonical serialization order — stable across writers, pinned by the
 /// golden files. 15 -> 17 with the int4 backend (nibbles + group_scales
 /// appended); the directory grew, so the goldens were regenerated with it
-/// (tests/golden/, DUET_REGEN_GOLDEN=1).
+/// (tests/golden/, DUET_REGEN_GOLDEN=1). Entry kReservedPackArray belonged
+/// to the retired backend tag 3: writers leave it empty and the loader
+/// rejects a nonzero count, so the layout (and every file) stays as it was.
 constexpr int kNumPackArrays = 17;
+constexpr int kReservedPackArray = 10;
 constexpr uint64_t kPackHeaderBytes = 32;
 constexpr uint64_t kPackDirectoryBytes = kNumPackArrays * 16;
 
@@ -63,7 +66,7 @@ std::vector<PackArrayRef> PackArrays(const PackedWeights& w) {
       {w.values.data(), w.values.size(), sizeof(float)},
       {w.quantized.data(), w.quantized.size(), sizeof(int8_t)},
       {w.scales.data(), w.scales.size(), sizeof(float)},
-      {w.half.data(), w.half.size(), sizeof(uint16_t)},
+      {nullptr, 0, sizeof(uint16_t)},  // kReservedPackArray
       {w.unperm16.data(), w.unperm16.size(), sizeof(uint16_t)},
       {w.unperm32.data(), w.unperm32.size(), sizeof(int32_t)},
       {w.row_len16.data(), w.row_len16.size(), sizeof(uint16_t)},
@@ -211,8 +214,10 @@ ArtifactStatus BuildPack(const char* base, const SectionEntry& sec,
   c.ReadU64(&reserved64);
   (void)reserved32;
   (void)reserved64;
-  if (backend_raw > static_cast<uint32_t>(tensor::WeightBackend::kInt4)) {
-    return ArtifactStatus::Fail("pack section has unknown backend");
+  tensor::WeightBackend backend;
+  if (!tensor::WeightBackendFromTag(backend_raw, &backend)) {
+    return ArtifactStatus::Fail("pack section has unknown or retired backend tag " +
+                                std::to_string(backend_raw));
   }
   if (in == 0 || outw == 0 || in > (1ull << 32) || outw > (1ull << 32)) {
     return ArtifactStatus::Fail("pack section has implausible dimensions");
@@ -222,6 +227,10 @@ ArtifactStatus BuildPack(const char* base, const SectionEntry& sec,
   for (int i = 0; i < kNumPackArrays; ++i) {
     c.ReadU64(&counts[i]);
     c.ReadU64(&offsets[i]);
+  }
+  if (counts[kReservedPackArray] != 0) {
+    return ArtifactStatus::Fail("pack directory uses reserved entry " +
+                                std::to_string(kReservedPackArray));
   }
   static constexpr uint64_t kElemBytes[kNumPackArrays] = {4, 4, 4, 2, 2, 4, 4, 4, 1,
                                                           4, 2, 2, 4, 2, 4, 1, 4};
@@ -243,7 +252,7 @@ ArtifactStatus BuildPack(const char* base, const SectionEntry& sec,
   };
 
   auto w = std::make_shared<PackedWeights>();
-  w->backend = static_cast<tensor::WeightBackend>(backend_raw);
+  w->backend = backend;
   w->in = static_cast<int64_t>(in);
   w->out = static_cast<int64_t>(outw);
   w->dense_view = view(0, static_cast<float*>(nullptr));
@@ -256,7 +265,6 @@ ArtifactStatus BuildPack(const char* base, const SectionEntry& sec,
   w->values = view(7, static_cast<float*>(nullptr));
   w->quantized = view(8, static_cast<int8_t*>(nullptr));
   w->scales = view(9, static_cast<float*>(nullptr));
-  w->half = view(10, static_cast<uint16_t*>(nullptr));
   w->unperm16 = view(11, static_cast<uint16_t*>(nullptr));
   w->unperm32 = view(12, static_cast<int32_t*>(nullptr));
   w->row_len16 = view(13, static_cast<uint16_t*>(nullptr));
@@ -342,11 +350,6 @@ ArtifactStatus BuildPack(const char* base, const SectionEntry& sec,
       if (static_cast<int64_t>(v.quantized.size()) != win * wout ||
           static_cast<int64_t>(v.scales.size()) != wout) {
         return fail("int8 pack payload size mismatch");
-      }
-      break;
-    case tensor::WeightBackend::kF16:
-      if (static_cast<int64_t>(v.half.size()) != win * wout) {
-        return fail("f16 pack payload size mismatch");
       }
       break;
     case tensor::WeightBackend::kInt4: {
@@ -480,9 +483,8 @@ ArtifactStatus LoadArtifact(const std::string& path, const ArtifactLoadOptions& 
     encoding.large_encoding = static_cast<core::ValueEncoding>(r.ReadU32());
     encoding.embedding_dim = r.ReadI64();
     encoding.seed = r.ReadU64();
-    backend = static_cast<tensor::WeightBackend>(r.ReadU32());
-    if (backend > tensor::WeightBackend::kInt4) {
-      return ArtifactStatus::Fail("artifact meta has unknown backend: " + path);
+    if (!tensor::WeightBackendFromTag(r.ReadU32(), &backend)) {
+      return ArtifactStatus::Fail("artifact meta has unknown or retired backend tag: " + path);
     }
   }
 

@@ -1,5 +1,6 @@
 // A tiny --key=value command-line flag parser for benches and examples.
-// Unknown flags are rejected so typos in experiment scripts fail fast.
+// Every --key is stored and unknown keys are NOT rejected: a misspelled
+// flag is silently ignored and its lookup falls back to the default.
 #ifndef DUET_COMMON_FLAGS_H_
 #define DUET_COMMON_FLAGS_H_
 

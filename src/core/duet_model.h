@@ -125,13 +125,12 @@ class DuetModel : public nn::Module {
   /// no-grad estimation paths (tensor/packed_weights.h): kDenseF32 keeps
   /// today's bitwise-exact behavior, kCsrF32 streams only nonzero masked
   /// weights (also bitwise-exact), kInt8 quarters weight traffic at bounded
-  /// accuracy cost, kF16 halves it at a much tighter bound, kInt4 cuts it
-  /// to an eighth. The plan recompiles lazily on the next forward. Const
-  /// because only the inference cache is reconfigured — but configure
-  /// before sharing the model with serving threads: a switch racing
-  /// in-flight estimates is memory-safe yet a racing forward may serve
-  /// either backend (see nn/inference_plan.h; published snapshots are
-  /// configured once at publish time).
+  /// accuracy cost, kInt4 cuts it to an eighth. The plan recompiles lazily
+  /// on the next forward. Const because only the inference cache is
+  /// reconfigured — but configure before sharing the model with serving
+  /// threads: a switch racing in-flight estimates is memory-safe yet a
+  /// racing forward may serve either backend (see nn/inference_plan.h;
+  /// published snapshots are configured once at publish time).
   void SetInferenceBackend(tensor::WeightBackend backend) const override {
     net_->SetInferenceBackend(backend);
   }

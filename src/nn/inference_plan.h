@@ -17,8 +17,8 @@
 //
 // Numerics: dense and CSR plans are bitwise-equal to the autograd forward
 // (same float products, k-ascending accumulation, shared epilogue in
-// ops.cc; CSR skips only exact zeros); int8/f16 carry the accuracy bounds
-// of their backends.
+// ops.cc; CSR skips only exact zeros); int8/int4 carry the accuracy
+// bounds of their backends.
 //
 // Caching & invalidation: a module caches one plan per
 // (backend, ParameterVersion) in an InferencePlanCache. The cached plan is

@@ -120,7 +120,7 @@ std::shared_ptr<const InferencePlan> Made::Compile(tensor::WeightBackend backend
   // Every masked layer gets the degree-sorted output permutation: the
   // derived column sort turns each mask row into a single contiguous run in
   // packed space (CSR degenerates to one (start,len) per row; dense/int8/
-  // f16 skip the structural-zero tail), and the fused gathering epilogue
+  // int4 skip the structural-zero tail), and the fused gathering epilogue
   // keeps activations in the original layout — so the program below mirrors
   // Forward() op for op and dense/CSR plans stay bitwise-equal to it.
   PlanBuilder b(backend, input_dim_);

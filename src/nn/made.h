@@ -12,7 +12,7 @@
 // a no-grad Forward executes the whole layer walk as a packed-op program,
 // with the degree-sorted output permutation applied to every masked layer,
 // in the backend chosen via SetInferenceBackend (dense fp32 / CSR sparse /
-// int8 / f16 / int4 — see tensor/packed_weights.h), cached per (backend,
+// int8 / int4 — see tensor/packed_weights.h), cached per (backend,
 // parameter version). W o M is thus packed once per parameter version
 // instead of materialized per forward. Dense/CSR plans are bitwise-equal
 // to the autograd forward, which the layer loop runs whenever gradients

@@ -55,7 +55,7 @@ class Module {
   Module& operator=(const Module&) = default;
 
   /// Selects the packed-weight backend of the compiled inference plan:
-  /// dense fp32, CSR, int8, f16 or int4 (see tensor/packed_weights.h).
+  /// dense fp32, CSR, int8 or int4 (see tensor/packed_weights.h).
   /// Plan-compiling modules recompile lazily on their next no-grad forward;
   /// container modules forward the call to their children; other modules
   /// ignore it (default). Const because it only reconfigures the inference
@@ -86,7 +86,7 @@ class Module {
   /// no-grad forward). Container modules sum over their children. This is
   /// the observability hook for the plan's memory cost: a dense plan doubles
   /// a masked layer's weight memory, CSR roughly halves the extra copy, int8
-  /// quarters it, f16 halves it.
+  /// quarters it, int4 cuts it to about a sixth.
   virtual uint64_t CachedBytes() const { return 0; }
 
   /// Compiles this module's no-grad forward into a flat packed-op program

@@ -56,7 +56,7 @@ class CardinalityEstimator {
   virtual std::vector<double> EstimateSelectivityBatch(const std::vector<Query>& queries);
 
   /// Selects the packed-weight backend of the compiled inference plan
-  /// (dense fp32 / CSR sparse / int8 / f16 / int4 — see
+  /// (dense fp32 / CSR sparse / int8 / int4 — see
   /// tensor/packed_weights.h). Estimators without a compiled plan ignore it
   /// (default). Configure before sharing the estimator with serving
   /// threads: with estimates in flight the switch is memory-safe (plans

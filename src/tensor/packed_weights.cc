@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "common/logging.h"
@@ -93,20 +92,6 @@ inline void Int8RowAccum(const simd::KernelTable& kt, const PackedWeights& w,
   }
 }
 
-/// binary16 row sweep: decode-on-load (the half->float widening IS the
-/// dequantization), fp32 accumulation, same prefix skip as dense. The
-/// decode form (VCVTPH2PS on the vector tiers vs. the branchless software
-/// widening) is chosen by the dispatch table at runtime; both are exact, so
-/// the result is bitwise-identical across tiers (simd_dispatch.h).
-inline void F16RowAccum(const simd::KernelTable& kt, const PackedWeights& w,
-                        const float* arow, float* crow) {
-  for (int64_t k = 0; k < w.in; ++k) {
-    const float av = arow[k];
-    if (av == 0.0f) continue;
-    kt.axpy_f16(av, w.half.data() + k * w.out, crow, RowPrefixLen(w, k));
-  }
-}
-
 /// Int4 row sweep: nibble decode + per-group dequant fused into the sweep
 /// (the scale varies along k, so it cannot wait for the epilogue), fp32
 /// accumulation, same prefix skip as dense. Row k's scale row is the
@@ -135,9 +120,6 @@ inline void PackedRowAccum(const simd::KernelTable& kt, const PackedWeights& w,
       break;
     case WeightBackend::kInt8:
       Int8RowAccum(kt, w, arow, crow);
-      break;
-    case WeightBackend::kF16:
-      F16RowAccum(kt, w, arow, crow);
       break;
     case WeightBackend::kInt4:
       Int4RowAccum(kt, w, arow, crow);
@@ -205,50 +187,32 @@ const char* WeightBackendName(WeightBackend backend) {
     case WeightBackend::kDenseF32: return "dense";
     case WeightBackend::kCsrF32: return "csr";
     case WeightBackend::kInt8: return "int8";
-    case WeightBackend::kF16: return "f16";
     case WeightBackend::kInt4: return "int4";
   }
   return "unknown";
 }
 
-bool ParseWeightBackend(const std::string& name, WeightBackend* out) {
-  if (name == "dense") { *out = WeightBackend::kDenseF32; return true; }
-  if (name == "csr") { *out = WeightBackend::kCsrF32; return true; }
-  if (name == "int8") { *out = WeightBackend::kInt8; return true; }
-  if (name == "f16") { *out = WeightBackend::kF16; return true; }
-  if (name == "int4") { *out = WeightBackend::kInt4; return true; }
+bool WeightBackendFromTag(uint32_t tag, WeightBackend* out) {
+  switch (static_cast<WeightBackend>(tag)) {
+    case WeightBackend::kDenseF32:
+    case WeightBackend::kCsrF32:
+    case WeightBackend::kInt8:
+    case WeightBackend::kInt4:
+      *out = static_cast<WeightBackend>(tag);
+      return true;
+  }
   return false;
 }
 
-uint16_t FloatToHalf(float f) {
-  uint32_t x;
-  std::memcpy(&x, &f, sizeof(x));
-  const uint16_t sign = static_cast<uint16_t>((x >> 16) & 0x8000u);
-  const uint32_t mag = x & 0x7fffffffu;
-  if (mag >= 0x7f800000u) {  // inf / NaN (quiet NaN payload collapses)
-    return static_cast<uint16_t>(sign | 0x7c00u | (mag > 0x7f800000u ? 0x200u : 0u));
+bool ParseWeightBackend(const std::string& name, WeightBackend* out) {
+  for (uint32_t tag = 0; tag <= static_cast<uint32_t>(WeightBackend::kInt4); ++tag) {
+    WeightBackend b;
+    if (WeightBackendFromTag(tag, &b) && name == WeightBackendName(b)) {
+      *out = b;
+      return true;
+    }
   }
-  if (mag >= 0x47800000u) return static_cast<uint16_t>(sign | 0x7c00u);  // overflow -> inf
-  const int32_t exp = static_cast<int32_t>(mag >> 23);
-  uint32_t man = mag & 0x7fffffu;
-  if (exp < 113) {
-    // Subnormal half (or zero): values at or below 2^-25 round to zero
-    // (round-to-nearest-even at the halfway point 2^-25 itself).
-    if (mag <= 0x33000000u) return sign;
-    man |= 0x800000u;  // make the implicit bit explicit
-    const int32_t shift = (113 - exp) + 13;
-    uint32_t half_man = man >> shift;
-    const uint32_t rem = man & ((1u << shift) - 1u);
-    const uint32_t halfway = 1u << (shift - 1);
-    if (rem > halfway || (rem == halfway && (half_man & 1u))) ++half_man;
-    return static_cast<uint16_t>(sign | half_man);
-  }
-  // Normal: round the 13 dropped mantissa bits to nearest-even; a mantissa
-  // carry correctly bumps the exponent (up to inf for values >= 65520).
-  uint32_t out = static_cast<uint32_t>((exp - 112) << 10) | (man >> 13);
-  const uint32_t rem = man & 0x1fffu;
-  if (rem > 0x1000u || (rem == 0x1000u && (out & 1u))) ++out;
-  return static_cast<uint16_t>(sign | out);
+  return false;
 }
 
 uint64_t PackedWeights::bytes() const {
@@ -266,9 +230,6 @@ uint64_t PackedWeights::bytes() const {
       break;
     case WeightBackend::kInt8:
       total += quantized.size() * sizeof(int8_t) + scales.size() * sizeof(float);
-      break;
-    case WeightBackend::kF16:
-      total += half.size() * sizeof(uint16_t);
       break;
     case WeightBackend::kInt4:
       total += nibbles.size() * sizeof(uint8_t) + group_scales.size() * sizeof(float);
@@ -439,15 +400,6 @@ std::shared_ptr<const PackedWeights> PackWeights(const Tensor& w, WeightBackend 
       break;
     }
 
-    case WeightBackend::kF16: {
-      packed->half.resize(static_cast<size_t>(in * out));
-      for (int64_t k = 0; k < in; ++k) {
-        uint16_t* hrow = packed->half.data() + k * out;
-        for (int64_t p = 0; p < out; ++p) hrow[p] = FloatToHalf(at(k, p));
-      }
-      break;
-    }
-
     case WeightBackend::kInt4: {
       // Group-of-kInt4GroupSize scales along k, PACKED column order (the
       // sweep consumes them pre-gather): s[g][p] = max_{k in g} |W[k,p]| / 7.
@@ -518,7 +470,7 @@ void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
     return;
   }
   // Permuted pack: accumulate each row into a per-thread packed-space
-  // scratch (CSR rows are single runs, dense/int8/f16 rows stop at their
+  // scratch (CSR rows are single runs, dense/int8/int4 rows stop at their
   // nonzero prefix), gather back into the original column order, then run
   // the SAME shared epilogue as the identity layout over the gathered rows.
   // Per output element the k-accumulation order is unchanged and the

@@ -19,11 +19,6 @@
 //    dequantize+bias+activation epilogue. 4x less weight traffic;
 //    accuracy-bounded rather than exact: |y_q - y| <= 0.5 * scale_j *
 //    sum_k |x_k| per output channel.
-//  * kF16     — IEEE binary16 weights decoded on load with fp32
-//    accumulation (the dequantization IS the half->float widening, fused
-//    into the inner loop). 2x less weight traffic; accuracy-bounded with a
-//    relative weight error <= 2^-11 per entry (round-to-nearest-even), far
-//    tighter than int8's per-channel bound.
 //  * kInt4    — per-group symmetric int4 quantization: the k dimension is
 //    cut into groups of kInt4GroupSize (32) input rows, and each
 //    (group, output-column) pair carries its own fp32 scale
@@ -43,7 +38,7 @@
 // allowed columns become one contiguous stretch in packed space (columns
 // stably sorted by descending column nonzero count == descending MADE
 // degree). The kernels then accumulate into packed positions — CSR rows
-// degenerate to a single (start,len) run, dense/int8/f16 rows stop at a
+// degenerate to a single (start,len) run, dense/int8/int4 rows stop at a
 // per-row nonzero prefix length and skip the structural-zero tail — and the
 // fused epilogue gathers results back into the ORIGINAL column order while
 // applying scale/bias/activation. Activations therefore stay in the
@@ -78,7 +73,7 @@ enum class WeightBackend : int32_t {
   kDenseF32 = 0,  ///< dense fp32 (bitwise-identical to the unpacked path)
   kCsrF32 = 1,    ///< sparse fp32 rows (bitwise-identical, zeros skipped)
   kInt8 = 2,      ///< per-output-channel symmetric int8 (accuracy-bounded)
-  kF16 = 3,       ///< IEEE binary16 weights, fp32 accumulate (accuracy-bounded)
+  // 3: retired (f16); never reuse — tags are persisted in artifact files.
   kInt4 = 4,      ///< per-group symmetric int4 nibbles (accuracy-bounded)
 };
 
@@ -87,55 +82,18 @@ enum class WeightBackend : int32_t {
 /// baked into the artifact pack encoding, so changing it is a format break.
 inline constexpr int64_t kInt4GroupSize = 32;
 
-/// Human-readable backend name ("dense" / "csr" / "int8" / "f16" / "int4"),
-/// for bench output.
+/// Human-readable backend name ("dense" / "csr" / "int8" / "int4"), for
+/// bench output.
 const char* WeightBackendName(WeightBackend backend);
 
-/// Parses "dense" / "csr" / "int8" / "f16" / "int4" (returns false on
-/// anything else).
+/// Parses "dense" / "csr" / "int8" / "int4" (returns false on anything
+/// else).
 bool ParseWeightBackend(const std::string& name, WeightBackend* out);
 
-/// fp32 -> IEEE binary16 with round-to-nearest-even; overflow saturates to
-/// +-inf, NaN payloads collapse to a quiet NaN. Exposed for tests.
-uint16_t FloatToHalf(float f);
-
-/// IEEE binary16 -> fp32 (exact: every half value is representable).
-/// Hot-loop decode for the kF16 kernels, so it lives in the header, and
-/// branch-free (one select) so the row sweeps stay vectorizable: the
-/// exponent is rebias-by-multiply for normals/inf/NaN and
-/// reconstruct-by-subtraction for subnormals/zero — the standard
-/// fixup-free fp16 widening.
-inline float HalfToFloat(uint16_t h) {
-  const uint32_t w = static_cast<uint32_t>(h) << 16;
-  const uint32_t sign = w & 0x80000000u;
-  const uint32_t two_w = w + w;
-
-  // Normal / inf / NaN: shift exponent+mantissa into place with a 3-bit
-  // headroom, then scale by 2^-112 to undo the bias shift (saturated
-  // exponents overflow to inf / keep NaN payloads).
-  const uint32_t exp_offset = 0xE0u << 23;
-  uint32_t nbits = (two_w >> 4) + exp_offset;
-  float normalized;
-  std::memcpy(&normalized, &nbits, sizeof(normalized));
-  normalized *= 0x1.0p-112f;
-
-  // Subnormal / zero: park the 10 mantissa bits under 0.5f's exponent and
-  // subtract the implicit bit.
-  const uint32_t magic_mask = 126u << 23;
-  uint32_t dbits = (two_w >> 17) | magic_mask;
-  float denormalized;
-  std::memcpy(&denormalized, &dbits, sizeof(denormalized));
-  denormalized -= 0.5f;
-
-  const uint32_t denormalized_cutoff = 1u << 27;
-  uint32_t nres, dres;
-  std::memcpy(&nres, &normalized, sizeof(nres));
-  std::memcpy(&dres, &denormalized, sizeof(dres));
-  const uint32_t bits = sign | (two_w < denormalized_cutoff ? dres : nres);
-  float out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
+/// Maps a persisted backend tag to its backend. Returns false for unknown
+/// and retired tags — the one place that decides which tags are valid
+/// (artifact loaders and ParseWeightBackend both go through it).
+bool WeightBackendFromTag(uint32_t tag, WeightBackend* out);
 
 /// Storage for one packed-weight array: either an owned vector (PackWeights
 /// builds these) or a non-owning view into externally-owned bytes (mmap-ed
@@ -231,10 +189,6 @@ struct PackedWeights {
   PackedArray<int8_t> quantized;
   PackedArray<float> scales;  ///< size out, original column order
 
-  /// kF16: row-major [in, out] binary16 weights (packed column order when
-  /// permuted).
-  PackedArray<uint16_t> half;
-
   /// kInt4: row-major nibble-packed weights, two packed columns per byte —
   /// row k occupies (out + 1) / 2 bytes, byte b of a row holds packed
   /// column 2b in its LOW nibble and 2b+1 in its HIGH nibble (odd `out`
@@ -257,7 +211,7 @@ struct PackedWeights {
   /// fallback; exactly one is populated for permuted packs.
   PackedArray<uint16_t> unperm16;
   PackedArray<int32_t> unperm32;
-  /// Dense/int8/f16 permuted packs: nonzero prefix length of each input row
+  /// Dense/int8/int4 permuted packs: nonzero prefix length of each input row
   /// in packed column space — the kernels stop here and skip the
   /// structural-zero tail. Same 16/32 split as unperm.
   PackedArray<uint16_t> row_len16;
@@ -304,7 +258,7 @@ std::vector<int32_t> DegreeSortPermutation(const Tensor& w);
 /// form has no autograd graph). kDenseF32 dispatches to the standard tiled
 /// GEMM / zero-skip GEMV (bitwise-identical to MatMulBiasAct on the dense
 /// matrix); kCsrF32 runs the sparse kernels (bitwise-identical, see header
-/// comment); kInt8/kF16/kInt4 accumulate in fp32 and fuse
+/// comment); kInt8/kInt4 accumulate in fp32 and fuse
 /// dequant+bias+activation (int4's per-group scale inside the sweep, int8's
 /// per-channel scale in the epilogue).
 Tensor PackedMatMulBiasAct(const Tensor& a, const PackedWeights& w, const Tensor& bias,
@@ -322,9 +276,8 @@ void PackedLinearForward(const PackedWeights& w, const float* x, int64_t batch,
 /// Single-row packed kernel: y[0..out) += x[0..in) x W_packed, with x rows
 /// skipped at x[k] == 0 (Duet inputs are one-hot-sparse). No bias, no
 /// activation, no int8 channel dequantization — the caller applies the
-/// epilogue. (kF16 decode and kInt4 per-group dequant ARE applied: they are
-/// part of the sweep itself.) For permuted packs y is in PACKED column
-/// space (the forward
+/// epilogue. (kInt4 per-group dequant IS applied: it is part of the sweep
+/// itself.) For permuted packs y is in PACKED column space (the forward
 /// gathers before its epilogue). This is exactly one row of
 /// PackedLinearForward's sweep (same accumulation code); exposed separately
 /// for kernel tests.

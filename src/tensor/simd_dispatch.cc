@@ -84,15 +84,11 @@ const Selection& Active() {
 IsaTier DetectIsa() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_cpu_init();
-  // The vector tiers require F16C so the f16 decode path can use VCVTPH2PS;
-  // every AVX2-era CPU has it, but probe rather than assume.
   if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("f16c")) {
+      __builtin_cpu_supports("avx512vl")) {
     return IsaTier::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c")) {
-    return IsaTier::kAvx2;
-  }
+  if (__builtin_cpu_supports("avx2")) return IsaTier::kAvx2;
 #endif
   return IsaTier::kScalar;
 }

@@ -1,8 +1,8 @@
 // Runtime SIMD dispatch for the inference inner loops.
 //
 // Every kernel in ops.cc / packed_weights.cc bottoms out in a handful of
-// per-row primitive sweeps (axpy over fp32 / int8 / f16 / int4 weight rows,
-// plus the 4x16 GEMM micro-tile). Historically those loops were compiled
+// per-row primitive sweeps (axpy over fp32 / int8 / int4 weight rows, plus
+// the 4x16 GEMM micro-tile). Historically those loops were compiled
 // once at the translation unit's baseline ISA: a portable build
 // (`DUET_NATIVE_ARCH=OFF`, the CI/default configuration) ran them at
 // SSE2-width scalar speed, and only a `-march=native` build saw AVX2/AVX-512
@@ -16,12 +16,14 @@
 //                            NEON is the armv8 baseline, so the "scalar"
 //                            tier auto-vectorizes to NEON there; no
 //                            separate tier is needed)
-//   simd_kernels_avx2.cc     -mavx2 -mf16c      (x86 only)
-//   simd_kernels_avx512.cc   -mavx512f/bw/vl -mf16c (x86 only)
+//   simd_kernels_avx2.cc     -mavx2             (x86 only)
+//   simd_kernels_avx512.cc   -mavx512f/bw/vl    (x86 only)
 //
 // and the CPU is probed ONCE (CPUID via __builtin_cpu_supports) the first
 // time Kernels() is called; every kernel then reads its inner loops through
-// the selected table.
+// the selected table. The three TUs differ only in their compile flags: the
+// shared source is plain C++ loops (no intrinsics) that the compiler
+// vectorizes to each tier's width.
 //
 // Bitwise contract — the load-bearing property of this design: all tiers
 // execute IDENTICAL per-element arithmetic. The shared source uses plain
@@ -33,10 +35,8 @@
 // many output elements progress per instruction, never the value any one
 // element sees — so every tier is bitwise-identical to the scalar tier for
 // every backend, and all of the repo's bitwise guarantees (dense==csr,
-// permuted==identity, batch invariance) hold within AND across tiers. The
-// f16 decode is exact in both forms (VCVTPH2PS and the branchless software
-// widening both produce the unique fp32 value of each half), so it keeps
-// the same property. `ctest -L simd` enforces all of this per tier.
+// permuted==identity, batch invariance) hold within AND across tiers.
+// `ctest -L simd` enforces all of this per tier.
 //
 // Test hooks: the DUET_FORCE_ISA environment variable ("scalar" / "avx2" /
 // "avx512" / "neon") clamps the startup selection to a tier the CPU
@@ -53,8 +53,7 @@
 namespace duet::tensor::simd {
 
 /// Instruction-set tiers, best-last. On aarch64 only kScalar exists (the
-/// baseline already includes NEON); on x86 the vector tiers additionally
-/// require F16C so the f16 decode can use VCVTPH2PS.
+/// baseline already includes NEON).
 enum class IsaTier : int32_t {
   kScalar = 0,
   kAvx2 = 1,
@@ -65,15 +64,13 @@ enum class IsaTier : int32_t {
 ///
 /// The axpy family is the packed row sweep's inner loop: accumulate
 /// `av * row[j]` into c[0..n) with backend-specific weight decoding. The
-/// decode is fused into the sweep (int8 widen, f16 half->float, int4
-/// nibble unpack + per-group scale); accumulation is always fp32.
+/// decode is fused into the sweep (int8 widen, int4 nibble unpack +
+/// per-group scale); accumulation is always fp32.
 struct KernelTable {
   /// c[j] += av * w[j]
   void (*axpy_f32)(float av, const float* w, float* c, int64_t n);
   /// c[j] += av * (float)q[j]  (int8 dequant scale applied in the epilogue)
   void (*axpy_i8)(float av, const int8_t* q, float* c, int64_t n);
-  /// c[j] += av * HalfToFloat(h[j])
-  void (*axpy_f16)(float av, const uint16_t* h, float* c, int64_t n);
   /// c[j] += av * ((float)nib(j) * gs[j]) where nib(j) is the signed int4
   /// unpacked from packed_weights.h's nibble layout (byte j/2, low nibble
   /// for even j) and gs is the per-group scale row for this k (PACKED

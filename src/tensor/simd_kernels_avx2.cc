@@ -1,16 +1,13 @@
-// AVX2+F16C compilation of the shared SIMD kernel bodies (x86 only; this TU
-// is empty elsewhere). Compiled with -mavx2 -mf16c -ffp-contract=off
-// (CMakeLists.txt): 8-wide fp32 lanes and the VCVTPH2PS f16 decode, with
-// the contract flag keeping the arithmetic mul+add so results stay
-// bitwise-identical to the scalar tier. Only run when the CPUID probe in
-// simd_dispatch.cc confirms AVX2 and F16C at runtime.
+// AVX2 compilation of the shared SIMD kernel bodies (x86 only; this TU is
+// empty elsewhere). Compiled with -mavx2 -ffp-contract=off
+// (CMakeLists.txt): 8-wide fp32 lanes, with the contract flag keeping the
+// arithmetic mul+add so results stay bitwise-identical to the scalar tier.
+// Only run when the CPUID probe in simd_dispatch.cc confirms AVX2 at
+// runtime.
 #if defined(__x86_64__) || defined(__i386__)
-
-#include <immintrin.h>
 
 #include <cstdint>
 
-#include "tensor/packed_weights.h"  // HalfToFloat
 #include "tensor/simd_dispatch.h"
 
 #define DUET_SIMD_TIER_NS avx2_tier

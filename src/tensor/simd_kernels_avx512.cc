@@ -1,16 +1,13 @@
 // AVX-512 compilation of the shared SIMD kernel bodies (x86 only; this TU
-// is empty elsewhere). Compiled with -mavx512f -mavx512bw -mavx512vl -mf16c
+// is empty elsewhere). Compiled with -mavx512f -mavx512bw -mavx512vl
 // -ffp-contract=off (CMakeLists.txt): 16-wide fp32 lanes; the contract flag
 // keeps the arithmetic mul+add so results stay bitwise-identical to the
 // scalar tier. Only run when the CPUID probe in simd_dispatch.cc confirms
-// AVX512F/BW/VL and F16C at runtime.
+// AVX512F/BW/VL at runtime.
 #if defined(__x86_64__) || defined(__i386__)
-
-#include <immintrin.h>
 
 #include <cstdint>
 
-#include "tensor/packed_weights.h"  // HalfToFloat
 #include "tensor/simd_dispatch.h"
 
 #define DUET_SIMD_TIER_NS avx512_tier

@@ -3,16 +3,8 @@
 // the armv8-a baseline, which is why there is no separate NEON tier — this
 // TU already auto-vectorizes to it). Compiled with -ffp-contract=off like
 // every tier (CMakeLists.txt) so the arithmetic stays mul+add everywhere.
-#if defined(__x86_64__) || defined(__i386__)
-// Needed when a -march=native build makes __F16C__ visible here too (the
-// .inc then takes its F16C fast path even in the "scalar" tier — still
-// bitwise-identical, see AxpyF16).
-#include <immintrin.h>
-#endif
-
 #include <cstdint>
 
-#include "tensor/packed_weights.h"  // HalfToFloat
 #include "tensor/simd_dispatch.h"
 
 #define DUET_SIMD_TIER_NS scalar_tier

@@ -144,17 +144,9 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ArtifactRoundTripTest,
                          ::testing::Values(tensor::WeightBackend::kDenseF32,
                                            tensor::WeightBackend::kCsrF32,
                                            tensor::WeightBackend::kInt8,
-                                           tensor::WeightBackend::kF16,
                                            tensor::WeightBackend::kInt4),
                          [](const ::testing::TestParamInfo<tensor::WeightBackend>& info) {
-                           switch (info.param) {
-                             case tensor::WeightBackend::kDenseF32: return "dense";
-                             case tensor::WeightBackend::kCsrF32: return "csr";
-                             case tensor::WeightBackend::kInt8: return "int8";
-                             case tensor::WeightBackend::kF16: return "f16";
-                             case tensor::WeightBackend::kInt4: return "int4";
-                           }
-                           return "unknown";
+                           return tensor::WeightBackendName(info.param);
                          });
 
 // ---- publish-path serialization: registry -> artifact -> same bits ----
@@ -216,14 +208,16 @@ class ArtifactCorruptionTest : public ::testing::Test {
   }
 
   /// Writes `mutated` to the scratch path and asserts LoadArtifact fails
-  /// cleanly, leaving the out-param untouched.
-  void ExpectRejected(const std::string& mutated, const std::string& what) {
+  /// cleanly, leaving the out-param untouched. Returns the load status so
+  /// callers can check the rejection reason.
+  ArtifactStatus ExpectRejected(const std::string& mutated, const std::string& what) {
     WriteFileBytes(scratch_path_, mutated);
     std::shared_ptr<const artifact::ArtifactModel> out = sentinel_;
     const ArtifactStatus st = LoadArtifact(scratch_path_, ArtifactLoadOptions{}, &out);
     EXPECT_FALSE(st.ok) << what << ": corrupted artifact loaded successfully";
     EXPECT_FALSE(st.error.empty()) << what;
     EXPECT_EQ(out, sentinel_) << what << ": failed load touched the out-param";
+    return st;
   }
 
   /// Header layout constants (format.cc Finish): the fixed prefix the
@@ -246,6 +240,35 @@ class ArtifactCorruptionTest : public ::testing::Test {
     std::memcpy(&(*bytes)[checksum_field], &table_checksum, 8);
     const uint64_t header_checksum = Fnv1a64(bytes->data(), static_cast<size_t>(HeaderBytes() - 8));
     std::memcpy(&(*bytes)[HeaderBytes() - 8], &header_checksum, 8);
+  }
+
+  /// Overwrites the u32 at absolute offset `at` inside section `sec` and
+  /// recomputes that section's checksum in its table entry, so only the
+  /// field's meaning (not a checksum) can reject the file. Callers follow
+  /// up with ResealChecksums for the table and header.
+  void PatchSectionU32(std::string* bytes, const artifact::ArtifactIndex& index, size_t sec,
+                       uint64_t at, uint32_t value) const {
+    const artifact::SectionEntry& e = index.sections[sec];
+    ASSERT_GE(at, e.offset);
+    ASSERT_LE(at + 4, e.offset + e.size);
+    std::memcpy(&(*bytes)[at], &value, 4);
+    const uint64_t checksum = Fnv1a64(bytes->data() + e.offset, static_cast<size_t>(e.size));
+    const uint64_t checksum_at = TableOffset() + sec * artifact::kSectionEntryBytes + 24;
+    std::memcpy(&(*bytes)[checksum_at], &checksum, 8);
+  }
+
+  /// Writes the fixture model as an int8 artifact and returns its bytes and
+  /// index (same section count as the CSR file, so ResealChecksums fits).
+  void Int8Artifact(std::string* bytes, artifact::ArtifactIndex* index) const {
+    const std::string path = TempPath("int8_source.duet");
+    const ArtifactStatus st = WriteArtifact(path, *model_, tensor::WeightBackend::kInt8);
+    ASSERT_TRUE(st.ok) << st.error;
+    *bytes = ReadFileBytes(path);
+    ::unlink(path.c_str());
+    const ArtifactStatus ist = artifact::IndexArtifact(
+        bytes->data(), bytes->size(), artifact::kDuetArtifactKind, true, index);
+    ASSERT_TRUE(ist.ok) << ist.error;
+    ASSERT_EQ(index->sections.size(), index_.sections.size());
   }
 
   data::Table table_;
@@ -415,6 +438,90 @@ TEST_F(ArtifactCorruptionTest, TornWriteRejectedAndZooStaysUntouched) {
   for (size_t q = 0; q < baseline_.size(); ++q) EXPECT_EQ(got[q], baseline_[q]);
   pin.reset();
   ::unlink(path.c_str());
+}
+
+// ---- retired backend tag 3 (f16) and its reserved pack entry ----------
+
+TEST_F(ArtifactCorruptionTest, RetiredBackendTagRejectedAndZooStaysUntouched) {
+  std::string int8_bytes;
+  artifact::ArtifactIndex index;
+  ASSERT_NO_FATAL_FAILURE(Int8Artifact(&int8_bytes, &index));
+  constexpr uint32_t kInt8Tag = static_cast<uint32_t>(tensor::WeightBackend::kInt8);
+  constexpr uint32_t kRetiredTag = 3;
+
+  // Relabels the int8 file as tag 3 in every pack header and, optionally,
+  // in meta (backend is its last field) and plan (its first field), so the
+  // file stays self-consistent and checksum-valid: only the tag check can
+  // refuse it.
+  auto relabel = [&](bool meta_and_plan) {
+    std::string m = int8_bytes;
+    for (size_t i = 0; i < index.sections.size(); ++i) {
+      const artifact::SectionEntry& e = index.sections[i];
+      const auto kind = static_cast<artifact::SectionKind>(e.kind);
+      if (kind != artifact::SectionKind::kPack && !meta_and_plan) continue;
+      const uint64_t at =
+          kind == artifact::SectionKind::kMeta ? e.offset + e.size - 4 : e.offset;
+      uint32_t old_tag = 0;
+      std::memcpy(&old_tag, &m[at], 4);
+      EXPECT_EQ(old_tag, kInt8Tag) << "section " << i << " tag not where expected";
+      PatchSectionU32(&m, index, i, at, kRetiredTag);
+    }
+    ResealChecksums(&m);
+    return m;
+  };
+
+  const ArtifactStatus meta_st = ExpectRejected(relabel(true), "tag 3 in meta, plan and packs");
+  EXPECT_NE(meta_st.error.find("retired backend"), std::string::npos) << meta_st.error;
+  const ArtifactStatus pack_st = ExpectRejected(relabel(false), "tag 3 in pack headers");
+  EXPECT_NE(pack_st.error.find("retired backend"), std::string::npos) << pack_st.error;
+
+  // A zoo serving a good model refuses the relabelled file without touching
+  // its resident set, and keeps serving the good model's exact bits.
+  WriteFileBytes(scratch_path_, relabel(true));
+  serve::ModelZoo zoo;
+  zoo.Register("good", good_path_);
+  zoo.Register("retired", scratch_path_);
+  serve::ZooPin pin;
+  ASSERT_TRUE(zoo.TryAcquire("good", &pin).ok);
+  pin.reset();
+  const uint64_t resident_bytes = zoo.ResidentBytes();
+  const ArtifactStatus zst = zoo.TryAcquire("retired", &pin);
+  EXPECT_FALSE(zst.ok);
+  EXPECT_EQ(pin, nullptr);
+  EXPECT_EQ(zoo.ResidentModels(), 1u);
+  EXPECT_EQ(zoo.ResidentBytes(), resident_bytes);
+  EXPECT_EQ(zoo.stats().loads, 1u);
+  ASSERT_TRUE(zoo.TryAcquire("good", &pin).ok);
+  const std::vector<double> got = pin->model().EstimateSelectivityBatch(queries_);
+  for (size_t q = 0; q < baseline_.size(); ++q) EXPECT_EQ(got[q], baseline_[q]);
+}
+
+TEST_F(ArtifactCorruptionTest, ReservedPackEntryRejected) {
+  // Pack directory entry 10 held the retired backend's payload; it must stay
+  // empty. Point it at pack 0's in-bounds int8 payload (entry 8) so only the
+  // reserved-entry check can refuse the file.
+  std::string m;
+  artifact::ArtifactIndex index;
+  ASSERT_NO_FATAL_FAILURE(Int8Artifact(&m, &index));
+  size_t pack0 = 0;
+  while (static_cast<artifact::SectionKind>(index.sections[pack0].kind) !=
+         artifact::SectionKind::kPack) {
+    ++pack0;
+  }
+  const uint64_t dir = index.sections[pack0].offset + 32;  // after the pack header
+  uint64_t quantized_count = 0, quantized_offset = 0;
+  std::memcpy(&quantized_count, &m[dir + 8 * 16], 8);
+  std::memcpy(&quantized_offset, &m[dir + 8 * 16 + 8], 8);
+  ASSERT_GT(quantized_count, 0u);
+  // count = 1 and offset = the int8 payload's, written as four u32 halves.
+  PatchSectionU32(&m, index, pack0, dir + 10 * 16, 1);
+  PatchSectionU32(&m, index, pack0, dir + 10 * 16 + 8,
+                  static_cast<uint32_t>(quantized_offset));
+  PatchSectionU32(&m, index, pack0, dir + 10 * 16 + 12,
+                  static_cast<uint32_t>(quantized_offset >> 32));
+  ResealChecksums(&m);
+  const ArtifactStatus st = ExpectRejected(m, "nonzero reserved pack entry");
+  EXPECT_NE(st.error.find("reserved"), std::string::npos) << st.error;
 }
 
 // ---- golden files: format stability ------------------------------------

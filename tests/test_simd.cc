@@ -6,7 +6,7 @@
 //  * every tier is bitwise-identical to the scalar tier for EVERY backend
 //    (the shared kernel source uses plain mul+add, no FMA contraction, no
 //    cross-lane reductions — width changes throughput, never values), which
-//    subsumes the per-backend error bounds: int8/int4/f16 stay inside their
+//    subsumes the per-backend error bounds: int8/int4 stay inside their
 //    documented bounds vs fp32 on any tier because they are bitwise the
 //    scalar-tier results that test_backends already bounds,
 //  * CSR stays bitwise-equal to dense within each tier,
@@ -75,7 +75,7 @@ std::vector<std::string> SupportedTierNames() {
 
 const std::vector<WeightBackend> kAllBackends = {
     WeightBackend::kDenseF32, WeightBackend::kCsrF32, WeightBackend::kInt8,
-    WeightBackend::kF16, WeightBackend::kInt4};
+    WeightBackend::kInt4};
 
 Tensor CheckeredMask(int64_t in, int64_t out) {
   Tensor mask = Tensor::Zeros({in, out});
