@@ -17,7 +17,8 @@
 //    path on the seeded workload (exactly 0 for CSR, bounded for
 //    int8/int4), and
 //  * a cross-request fusion A/B through the async micro-batcher: the same
-//    batch-1 submission stream with GEMV->GEMM fusion on vs off, with a
+//    batch-1 submission stream with GEMV->GEMM fusion on vs off (max_batch
+//    64 vs 1), with a
 //    bitwise per-request identity check between the two arms (fusion
 //    changes throughput, never answers).
 // The JSON line carries the runtime-selected SIMD tier ("isa") and the
@@ -175,7 +176,8 @@ double MeasureServingQps(serve::ServingEngine& engine,
 }
 
 /// Queries/sec of batch-1 async submissions through the micro-batcher at one
-/// fusion setting (serve::ServingOptions::fuse_requests). The per-request
+/// fusion setting: fused micro-batches of up to 64, or max_batch = 1, where
+/// every query is resolved and served alone. The per-request
 /// answers of the warm-up pass are captured so the caller can assert the
 /// fused and unfused arms bitwise-identical — the fusion contract is that
 /// coalescing same-target GEMVs into one GEMM changes throughput, never
@@ -184,9 +186,8 @@ double MeasureAsyncQps(query::CardinalityEstimator& est,
                        const std::vector<query::Query>& queries, bool fuse,
                        double min_seconds, std::vector<double>* answers) {
   serve::ServingOptions sopt;
-  sopt.max_batch = 64;
+  sopt.max_batch = fuse ? 64 : 1;
   sopt.max_wait_us = 200;
-  sopt.fuse_requests = fuse;
   serve::ServingEngine engine(est, sopt);
   // Warm-up (populates worker arenas) doubles as the answer capture.
   std::vector<serve::ServingEngine::Future> warm;

@@ -527,13 +527,8 @@ NetServer::FrameResult NetServer::HandleEstimateRequest(Loop& loop, Connection& 
       resp->estimates[static_cast<size_t>(i)] = e;
       if (resp->remaining.fetch_sub(1) == 1) PostCompletion(resp);
     };
-    if (keyed) {
-      engine_.SubmitWithCallback(req.model_key, req.queries[static_cast<size_t>(i)],
-                                 deadline_us, std::move(done));
-    } else {
-      engine_.SubmitWithCallback(req.queries[static_cast<size_t>(i)], deadline_us,
-                                 std::move(done));
-    }
+    engine_.SubmitWithCallback(req.model_key, req.queries[static_cast<size_t>(i)],
+                               deadline_us, std::move(done));
   }
   return FrameResult::kOk;
 }

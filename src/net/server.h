@@ -15,9 +15,9 @@
 //  * every decoded query is submitted through
 //    ServingEngine::SubmitWithCallback, so the N queries of one frame —
 //    and the frames of N concurrent connections — flow into the SAME
-//    micro-batching scheduler and fuse into one batched GEMM dispatch
-//    (ServingOptions::fuse_requests): wire-level batching composes with
-//    cross-request fusion instead of bypassing it;
+//    micro-batching scheduler and fuse into one batched GEMM dispatch per
+//    model key: wire-level batching composes with cross-request fusion
+//    instead of bypassing it;
 //  * responses are encoded from the same reused scratch into the write
 //    ring and flushed with gather writes.
 //

@@ -158,10 +158,9 @@ ServingCardinalityProvider::ServingCardinalityProvider(serve::ServingEngine& eng
       model_keys_(std::move(model_keys)),
       sequential_(options.sequential),
       deadline_us_(options.deadline_us) {
-  if (engine_.keyed()) {
-    DUET_CHECK_EQ(static_cast<int>(model_keys_.size()), this->stats().num_tables())
-        << "zoo-mode serving needs one model key per star table";
-  }
+  DUET_CHECK(engine_.keyed()) << "the serving provider needs a zoo-mode engine";
+  DUET_CHECK_EQ(static_cast<int>(model_keys_.size()), this->stats().num_tables())
+      << "zoo-mode serving needs one model key per star table";
 }
 
 std::vector<serve::Estimate> ServingCardinalityProvider::FetchSelectivities(
@@ -171,28 +170,18 @@ std::vector<serve::Estimate> ServingCardinalityProvider::FetchSelectivities(
     // The A/B arm: the same async serving path, but one request in flight
     // at a time — each waits out batch formation alone, nothing coalesces.
     for (size_t i = 0; i < tables.size(); ++i) {
-      const int t = tables[i];
-      query::Query q = star.filters[static_cast<size_t>(t)];
-      serve::ServingEngine::Future f =
-          engine_.keyed()
-              ? engine_.Submit(model_keys_[static_cast<size_t>(t)], std::move(q),
-                               deadline_us_)
-              : engine_.Submit(std::move(q), deadline_us_);
-      out[i] = f.Result();
+      const size_t t = static_cast<size_t>(tables[i]);
+      out[i] = engine_.Submit(model_keys_[t], star.filters[t], deadline_us_).Result();
     }
     return out;
   }
   // Submit the whole burst before waiting on anything: concurrent same-key
-  // requests land in the micro-batcher together and fuse into one GEMM
-  // (ServingOptions::fuse_requests) — the DP-level batching contract.
+  // requests land in the micro-batcher together and fuse into one GEMM —
+  // the DP-level batching contract.
   std::vector<serve::ServingEngine::Future> futures(tables.size());
   for (size_t i = 0; i < tables.size(); ++i) {
-    const int t = tables[i];
-    query::Query q = star.filters[static_cast<size_t>(t)];
-    futures[i] = engine_.keyed()
-                     ? engine_.Submit(model_keys_[static_cast<size_t>(t)], std::move(q),
-                                      deadline_us_)
-                     : engine_.Submit(std::move(q), deadline_us_);
+    const size_t t = static_cast<size_t>(tables[i]);
+    futures[i] = engine_.Submit(model_keys_[t], star.filters[t], deadline_us_);
   }
   for (size_t i = 0; i < tables.size(); ++i) out[i] = futures[i].Result();
   return out;

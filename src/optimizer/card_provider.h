@@ -6,11 +6,11 @@
 // every table subset it is about to enumerate — one batched request per DP
 // level — and the provider decides where those numbers come from:
 //
-//  * ServingCardinalityProvider answers through a serve::ServingEngine.
-//    In zoo mode every table's model is registered under a string key and
-//    each DP level becomes one keyed Submit burst, so the optimizer's
-//    fan-out lands in the micro-batcher together and same-key requests
-//    coalesce into fused GEMMs (ServingOptions::fuse_requests). Degraded
+//  * ServingCardinalityProvider answers through a zoo-mode
+//    serve::ServingEngine: every table's model is registered under a
+//    string key and each DP level becomes one keyed Submit burst, so the
+//    optimizer's fan-out lands in the micro-batcher together and same-key
+//    requests coalesce into fused GEMMs. Degraded
 //    answers (shed / expired deadline / fallback / breaker-open) are
 //    clamped and *flagged*, never thrown: an unhealthy serving stack
 //    degrades the plan search instead of crashing it.
@@ -154,10 +154,9 @@ class ComposedCardinalityProvider : public CardinalityProvider {
   ComposedProviderOptions options_;
 };
 
-/// Serving-stack provider: selectivities come from a serve::ServingEngine.
-/// Zoo mode (engine.keyed()): `model_keys[t]` names table t's artifact and
-/// each level is one keyed Submit burst. Non-zoo engines (fixed/registry,
-/// single-table scenarios) pass empty keys and use the key-less Submit.
+/// Serving-stack provider: selectivities come from a zoo-mode
+/// serve::ServingEngine (CHECKed: engine.keyed()). `model_keys[t]` names
+/// table t's artifact and each level is one keyed Submit burst.
 class ServingCardinalityProvider : public ComposedCardinalityProvider {
  public:
   ServingCardinalityProvider(serve::ServingEngine& engine,

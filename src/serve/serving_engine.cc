@@ -17,6 +17,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+constexpr char kKeyContract[] =
+    "zoo-mode engines take a model key; fixed and registry engines serve the empty key";
+
 int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              Clock::now().time_since_epoch())
@@ -29,8 +32,8 @@ int64_t NowMicros() {
 /// so a Future wait never contends with unrelated traffic.
 struct ServingEngine::Pending {
   query::Query query;
-  /// Zoo mode: which model serves this query (empty in fixed/registry
-  /// mode). The scheduler groups a micro-batch by key at dispatch.
+  /// Which model serves this query (empty on single-model engines). The
+  /// scheduler groups a micro-batch by key at dispatch.
   std::string model_key;
   Clock::time_point enqueued;
   /// Absolute expiry; time_point::max() = no deadline. The scheduler drops
@@ -107,37 +110,31 @@ ServingEngine::~ServingEngine() {
   scheduler_.join();  // drains every pending query before returning
 }
 
-ServingEngine::Target ServingEngine::Resolve() const {
-  if (zoo_ != nullptr) return Target{};  // keyed dispatches use ResolveKey
-  if (registry_ == nullptr) {
-    Target target;
+ServingEngine::Target ServingEngine::Resolve(const std::string& model_key) const {
+  Target target;
+  if (zoo_ != nullptr) {
+    ZooPin pin;
+    if (!zoo_->TryAcquire(model_key, &pin).ok) return target;  // degrades to fallback
+    target.zoo_pin = std::move(pin);
+    target.estimator = &target.zoo_pin->estimator();
+    target.snapshot_id = target.zoo_pin->fingerprint();
+  } else if (registry_ != nullptr) {
+    // The hot-swap read: one acquire-load of the current snapshot. The
+    // returned pin keeps the snapshot alive for the whole dispatch, so a
+    // concurrent publish retires the old model only after this batch is done.
+    target.pin = registry_->Current();
+    target.estimator = &target.pin->estimator();
+    target.snapshot_id = target.pin->id();
+  } else {
     target.estimator = fixed_estimator_;
-    return target;
   }
-  // The hot-swap read: one acquire-load of the current snapshot. The
-  // returned pin keeps the snapshot alive for the whole dispatch, so a
-  // concurrent publish retires the old model only after this batch is done.
-  Target target;
-  target.pin = registry_->Current();
-  target.estimator = &target.pin->estimator();
-  target.snapshot_id = target.pin->id();
-  return target;
-}
-
-ServingEngine::Target ServingEngine::ResolveKey(const std::string& model_key) const {
-  DUET_CHECK(zoo_ != nullptr) << "keyed dispatch on a non-zoo engine";
-  Target target;
-  ZooPin pin;
-  const artifact::ArtifactStatus st = zoo_->TryAcquire(model_key, &pin);
-  if (!st.ok) return target;  // empty target: the dispatch degrades to fallback
-  target.zoo_pin = std::move(pin);
-  target.estimator = &target.zoo_pin->estimator();
-  target.snapshot_id = target.zoo_pin->fingerprint();
   return target;
 }
 
 void ServingEngine::NoteDispatch(const Target& target) {
-  if (target.snapshot_id == 0) return;
+  // Only registry snapshots form one version sequence; zoo fingerprints of
+  // different keys are different models, not hot swaps.
+  if (target.pin == nullptr) return;
   std::lock_guard<std::mutex> lock(stats_mu_);
   if (stats_.snapshot_id != 0 && stats_.snapshot_id != target.snapshot_id) {
     ++stats_.snapshot_swaps;
@@ -270,17 +267,12 @@ void ServingEngine::ServeBatch(const Target& target,
                                bool* degraded) {
   const int64_t n = static_cast<int64_t>(queries.size());
   if (n == 0) return;
-  if (target.estimator == nullptr) {
-    // Zoo mode with a key whose artifact failed to load (or was never
-    // registered): the whole dispatch degrades to the fallback, flagged.
-    // Not a neural failure — the breaker only judges the neural path.
-    ServeFallback(queries, 0, n, out);
-    if (degraded != nullptr) std::fill(degraded, degraded + n, true);
-    return;
-  }
-  if (!AllowNeural()) {
-    // Breaker open: the whole dispatch degrades to the fallback without
-    // touching the neural path.
+  // A zoo key whose artifact failed to load (or was never registered), or
+  // an open breaker: the whole dispatch degrades to the fallback, flagged,
+  // without touching the neural path. An unresolved key is not a neural
+  // failure — the short-circuit keeps it out of the breaker's probe
+  // election.
+  if (target.estimator == nullptr || !AllowNeural()) {
     ServeFallback(queries, 0, n, out);
     if (degraded != nullptr) std::fill(degraded, degraded + n, true);
     return;
@@ -289,12 +281,19 @@ void ServingEngine::ServeBatch(const Target& target,
   RecordNeuralOutcome(failed_shards > 0);
 }
 
-std::vector<double> ServingEngine::EstimateBatch(const std::vector<query::Query>& queries,
-                                                 uint64_t* snapshot_id) {
-  const std::vector<Estimate> results = EstimateBatchEx(queries, 0, snapshot_id);
-  std::vector<double> sels(results.size());
-  for (size_t i = 0; i < results.size(); ++i) sels[i] = results[i].selectivity;
-  return sels;
+uint64_t ServingEngine::ServeGroup(const std::string& model_key,
+                                   const std::vector<query::Query>& queries, double* out,
+                                   bool* degraded) {
+  // Resolved once per group: the pin in `target` holds the snapshot (or the
+  // pinned zoo model) until the group is served, however many publishes or
+  // evictions happen meanwhile.
+  const Target target = Resolve(model_key);
+  NoteDispatch(target);
+  ServeBatch(target, queries, out, degraded);
+  if (target.zoo_pin != nullptr) {
+    target.zoo_pin->NoteServed(static_cast<uint64_t>(queries.size()));
+  }
+  return target.snapshot_id;
 }
 
 std::vector<double> ServingEngine::EstimateBatch(const std::string& model_key,
@@ -306,38 +305,19 @@ std::vector<double> ServingEngine::EstimateBatch(const std::string& model_key,
   return sels;
 }
 
-std::vector<Estimate> ServingEngine::EstimateBatchEx(
-    const std::vector<query::Query>& queries, int64_t deadline_us,
-    uint64_t* snapshot_id) {
-  DUET_CHECK(zoo_ == nullptr) << "zoo-mode engine requires a model key";
-  return EstimateBatchImpl(nullptr, queries, deadline_us, snapshot_id);
-}
-
-std::vector<Estimate> ServingEngine::EstimateBatchEx(
-    const std::string& model_key, const std::vector<query::Query>& queries,
-    int64_t deadline_us, uint64_t* snapshot_id) {
-  DUET_CHECK(zoo_ != nullptr) << "keyed EstimateBatchEx on a non-zoo engine";
-  return EstimateBatchImpl(&model_key, queries, deadline_us, snapshot_id);
-}
-
-std::vector<Estimate> ServingEngine::EstimateBatchImpl(
-    const std::string* model_key, const std::vector<query::Query>& queries,
-    int64_t deadline_us, uint64_t* snapshot_id) {
+std::vector<Estimate> ServingEngine::EstimateBatchEx(const std::string& model_key,
+                                                     const std::vector<query::Query>& queries,
+                                                     int64_t deadline_us,
+                                                     uint64_t* snapshot_id) {
+  DUET_CHECK_EQ(keyed(), !model_key.empty()) << kKeyContract;
   const Clock::time_point start = Clock::now();
-  // Resolved once per client call: the pin in `target` holds the snapshot
-  // (or the pinned zoo model) until this batch returns, however many
-  // publishes or evictions happen meanwhile.
-  const Target target = model_key != nullptr ? ResolveKey(*model_key) : Resolve();
-  NoteDispatch(target);
-  if (snapshot_id != nullptr) *snapshot_id = target.snapshot_id;
   std::vector<double> sels(queries.size());
   std::vector<uint8_t> degraded(queries.size(), 0);
   // bool* view over the flag bytes: std::vector<bool> has no data().
   static_assert(sizeof(bool) == 1, "degraded flags alias uint8_t storage");
-  ServeBatch(target, queries, sels.data(), reinterpret_cast<bool*>(degraded.data()));
-  if (target.zoo_pin != nullptr) {
-    target.zoo_pin->NoteServed(static_cast<uint64_t>(queries.size()));
-  }
+  const uint64_t served_id =
+      ServeGroup(model_key, queries, sels.data(), reinterpret_cast<bool*>(degraded.data()));
+  if (snapshot_id != nullptr) *snapshot_id = served_id;
   // The sync path runs on the caller's thread, so the batch was attempted
   // regardless of the budget; what a deadline buys here is *late-result
   // detection* — answers that arrived after the caller's budget are flagged
@@ -358,27 +338,14 @@ std::vector<Estimate> ServingEngine::EstimateBatchImpl(
   return results;
 }
 
-ServingEngine::Future ServingEngine::Submit(query::Query query, int64_t deadline_us) {
-  DUET_CHECK(zoo_ == nullptr) << "zoo-mode engine requires a model key";
-  return SubmitImpl(std::string(), std::move(query), deadline_us, nullptr);
-}
-
 ServingEngine::Future ServingEngine::Submit(const std::string& model_key, query::Query query,
                                             int64_t deadline_us) {
-  DUET_CHECK(zoo_ != nullptr) << "keyed Submit on a non-zoo engine";
   return SubmitImpl(model_key, std::move(query), deadline_us, nullptr);
-}
-
-void ServingEngine::SubmitWithCallback(query::Query query, int64_t deadline_us,
-                                       std::function<void(const Estimate&)> done) {
-  DUET_CHECK(zoo_ == nullptr) << "zoo-mode engine requires a model key";
-  SubmitImpl(std::string(), std::move(query), deadline_us, std::move(done));
 }
 
 void ServingEngine::SubmitWithCallback(const std::string& model_key, query::Query query,
                                        int64_t deadline_us,
                                        std::function<void(const Estimate&)> done) {
-  DUET_CHECK(zoo_ != nullptr) << "keyed SubmitWithCallback on a non-zoo engine";
   SubmitImpl(model_key, std::move(query), deadline_us, std::move(done));
 }
 
@@ -399,12 +366,13 @@ std::vector<Estimate> ServingEngine::ShedBatch(const std::vector<query::Query>& 
   return results;
 }
 
-ServingEngine::Future ServingEngine::SubmitImpl(std::string model_key, query::Query query,
-                                                int64_t deadline_us,
+ServingEngine::Future ServingEngine::SubmitImpl(const std::string& model_key,
+                                                query::Query query, int64_t deadline_us,
                                                 std::function<void(const Estimate&)> done) {
+  DUET_CHECK_EQ(keyed(), !model_key.empty()) << kKeyContract;
   auto state = std::make_shared<Pending>();
   state->query = std::move(query);
-  state->model_key = std::move(model_key);
+  state->model_key = model_key;
   state->on_complete = std::move(done);
   state->enqueued = Clock::now();
   if (deadline_us <= 0) deadline_us = options_.default_deadline_us;
@@ -522,15 +490,15 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
   // under stats_mu_ after the batch completes.
   std::vector<int64_t> fused_sizes;
   if (!admitted.empty()) {
-    // Cross-request fusion: group by model key (fixed/registry mode: every
+    // Cross-request fusion: group by model key (single-model engines: every
     // key is empty, so this is one group) and serve each group as ONE
     // batched estimate — a GEMM over the stacked feature rows instead of N
     // independent batch-1 GEMVs. Each group is served end-to-end by one
     // resolved target — one snapshot or one pinned zoo model, never a
     // mid-group mix. Grouping preserves submission order within each group,
     // and kernel batch invariance makes every per-query result bitwise what
-    // a batch-1 dispatch would produce — so fusion (and the unfused A/B arm
-    // below) changes throughput, never answers.
+    // a batch-1 dispatch would produce — so fusion (and the max_batch = 1
+    // unfused arm) changes throughput, never answers.
     std::vector<size_t> order(admitted.size());
     for (size_t i = 0; i < admitted.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -538,27 +506,17 @@ void ServingEngine::DispatchMicroBatch(std::vector<std::shared_ptr<Pending>> bat
     });
     size_t g = 0;
     while (g < order.size()) {
+      const std::string& key = admitted[order[g]]->model_key;
       size_t end = g + 1;
-      // fuse_requests off: the unfused arm — every query dispatches alone
-      // (its own resolve + batch-1 estimate), for fusion A/B benchmarks.
-      while (options_.fuse_requests && end < order.size() &&
-             admitted[order[end]]->model_key == admitted[order[g]]->model_key) {
-        ++end;
-      }
+      while (end < order.size() && admitted[order[end]]->model_key == key) ++end;
       if (end - g >= 2) fused_sizes.push_back(static_cast<int64_t>(end - g));
       std::vector<query::Query> queries;
       queries.reserve(end - g);
       for (size_t i = g; i < end; ++i) queries.push_back(admitted[order[i]]->query);
-      const std::string& key = admitted[order[g]]->model_key;
-      const Target target = zoo_ != nullptr ? ResolveKey(key) : Resolve();
-      NoteDispatch(target);
       std::vector<double> group_sels(queries.size());
       std::vector<uint8_t> group_degraded(queries.size(), 0);
-      ServeBatch(target, queries, group_sels.data(),
+      ServeGroup(key, queries, group_sels.data(),
                  reinterpret_cast<bool*>(group_degraded.data()));
-      if (target.zoo_pin != nullptr) {
-        target.zoo_pin->NoteServed(static_cast<uint64_t>(queries.size()));
-      }
       for (size_t i = g; i < end; ++i) {
         sels[order[i]] = group_sels[i - g];
         degraded[order[i]] = group_degraded[i - g];
@@ -638,7 +596,7 @@ ServingStats ServingEngine::stats() const {
   // describe what new dispatches would serve on. Zoo mode has no single
   // serving model — per-model gauges live in ModelZoo::ModelStats — so the
   // model gauges stay 0 there.
-  const Target target = Resolve();
+  const Target target = keyed() ? Target{} : Resolve(std::string());
   if (target.estimator != nullptr) {
     snapshot.packed_weight_bytes = target.estimator->PackedWeightBytes();
     snapshot.plan_compile_micros = target.estimator->PlanCompileMicros();

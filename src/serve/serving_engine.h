@@ -65,6 +65,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/latency_histogram.h"
@@ -88,6 +89,11 @@ struct ServingOptions {
   /// would dominate.
   int64_t min_shard = 8;
   /// Micro-batching: dispatch as soon as this many queries are pending...
+  /// Pending queries with the same model key are served as one fused
+  /// dispatch (a GEMM over the stacked rows, not N batch-1 GEMVs), so 1 is
+  /// the unfused A/B arm: every admitted query is resolved and served alone.
+  /// Per-request results are bitwise identical either way (kernel batch
+  /// invariance, docs/architecture.md §2).
   int64_t max_batch = 64;
   /// ...or when the oldest pending query has waited this long.
   int64_t max_wait_us = 200;
@@ -104,15 +110,6 @@ struct ServingOptions {
   /// dispatches after breaker_cooldown_us (docs/resilience.md §3).
   int64_t breaker_threshold = 5;
   int64_t breaker_cooldown_us = 50 * 1000;
-  /// Cross-request GEMV→GEMM fusion: coalesce concurrent async submissions
-  /// that resolve to the same target (same snapshot; in zoo mode, same
-  /// model key) into ONE batched dispatch — a GEMM over the stacked feature
-  /// rows — instead of N independent batch-1 GEMVs. Per-request results are
-  /// bitwise identical either way (kernel batch invariance,
-  /// docs/architecture.md §2); fusion buys the weight-reuse of the batched
-  /// kernels, which is the dominant cost at batch 1. Off = the unfused A/B
-  /// arm for benchmarks: every admitted async query dispatches alone.
-  bool fuse_requests = true;
 };
 
 /// One query's answer plus how it was produced. EstimateBatchEx and
@@ -144,16 +141,18 @@ struct ServingStats {
   /// Async queries served through a fused dispatch group (size >= 2): the
   /// scheduler coalesced them with concurrent same-target requests into one
   /// batched GEMM execution instead of independent GEMVs. 0 with
-  /// ServingOptions::fuse_requests off.
+  /// ServingOptions::max_batch == 1.
   uint64_t fused_requests = 0;
   /// Median fused-group size, over groups of size >= 2 (exact histogram,
   /// not log-bucketed; 0.0 until the first fused group dispatches).
   double fusion_batch_p50 = 0.0;
-  /// Snapshot id the most recent dispatch served on (0 in fixed-estimator
-  /// mode — there is no registry and no snapshot).
+  /// Registry mode: the snapshot id the most recent dispatch served on.
+  /// 0 in fixed and zoo mode — there is no registry snapshot (zoo models
+  /// differ per key; re-registrations count in ZooModelStats::evictions).
   uint64_t snapshot_id = 0;
-  /// Dispatches that observed a different snapshot than the previous
-  /// dispatch did: the number of hot swaps traffic has crossed.
+  /// Registry mode: dispatches that observed a different snapshot than the
+  /// previous dispatch did — the number of hot swaps traffic has crossed.
+  /// 0 in fixed and zoo mode.
   uint64_t snapshot_swaps = 0;
   /// Observed-cardinality pairs routed through ReportObserved.
   uint64_t feedback_reported = 0;
@@ -245,13 +244,11 @@ class ServingEngine {
   explicit ServingEngine(ModelRegistry& registry, ServingOptions options = {});
 
   /// Zoo mode: requests are routed by model key through a serve::ModelZoo —
-  /// the keyed EstimateBatch/EstimateBatchEx/Submit overloads below resolve
-  /// (and pin) the named artifact model per dispatch; the key-less overloads
-  /// CHECK-fail. Dispatch pins are ZooPins, so a model serving an in-flight
-  /// batch is never evicted under it, and a key whose artifact fails to
-  /// load degrades that batch to the fallback (flagged) instead of
-  /// crashing. The zoo must outlive the engine. Artifacts are frozen at
-  /// write time, weight backend included.
+  /// every dispatch resolves and pins (ZooPin) the named artifact model, so
+  /// a model serving an in-flight batch is never evicted under it, and a
+  /// key whose artifact fails to load degrades that batch to the fallback
+  /// (flagged) instead of crashing. The zoo must outlive the engine.
+  /// Artifacts are frozen at write time, weight backend included.
   explicit ServingEngine(ModelZoo& zoo, ServingOptions options = {});
 
   /// Drains the async queue (every issued Future still completes), then
@@ -261,42 +258,53 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
+  // Every request carries a model key: zoo engines route by it, and the
+  // single-model engines (fixed, registry) serve the empty key. Misuse in
+  // either direction — a key-less call on a zoo engine, a keyed call on a
+  // fixed or registry engine — CHECK-fails on the caller's thread. The
+  // key-less overloads are forwards that pass the empty key.
+
   /// Synchronous sharded estimation: splits `queries` into shards on query
   /// boundaries and runs them concurrently on the process pool. Returns exactly
   /// what the serving model's EstimateSelectivityBatch(queries) returns
   /// (bitwise), in order. Safe to call concurrently with other
   /// EstimateBatch / Submit calls — and, in registry mode, with snapshot
-  /// publishes: the whole batch runs on the snapshot current at dispatch
-  /// (its id is written to *snapshot_id when non-null; 0 in fixed mode).
-  std::vector<double> EstimateBatch(const std::vector<query::Query>& queries,
+  /// publishes: the whole batch runs on the snapshot current at dispatch.
+  /// The model is resolved (and pinned) once per call; *snapshot_id, when
+  /// non-null, receives the registry snapshot id, the zoo artifact
+  /// fingerprint, or 0 in fixed mode.
+  std::vector<double> EstimateBatch(const std::string& model_key,
+                                    const std::vector<query::Query>& queries,
                                     uint64_t* snapshot_id = nullptr);
+  std::vector<double> EstimateBatch(const std::vector<query::Query>& queries,
+                                    uint64_t* snapshot_id = nullptr) {
+    return EstimateBatch(std::string(), queries, snapshot_id);
+  }
 
   /// EstimateBatch with per-request resilience metadata. `deadline_us` is a
   /// latency budget relative to the call (0 = none): the sync path runs on
   /// the caller's thread so the batch is always attempted, but results that
   /// arrive after the budget are flagged deadline_expired (and counted) so
   /// the caller knows the optimizer has moved on. Degraded queries (neural
-  /// failure, breaker open) carry fallback == true.
-  std::vector<Estimate> EstimateBatchEx(const std::vector<query::Query>& queries,
-                                        int64_t deadline_us = 0,
-                                        uint64_t* snapshot_id = nullptr);
-
-  /// Keyed variants for zoo mode: identical semantics, but the dispatch
-  /// serves the zoo model registered under `model_key` (resolved and pinned
-  /// once per call). In zoo mode *snapshot_id receives the artifact
-  /// fingerprint. Only valid on a zoo-mode engine.
-  std::vector<double> EstimateBatch(const std::string& model_key,
-                                    const std::vector<query::Query>& queries,
-                                    uint64_t* snapshot_id = nullptr);
+  /// failure, breaker open, a zoo key whose artifact fails to load) carry
+  /// fallback == true.
   std::vector<Estimate> EstimateBatchEx(const std::string& model_key,
                                         const std::vector<query::Query>& queries,
                                         int64_t deadline_us = 0,
                                         uint64_t* snapshot_id = nullptr);
+  std::vector<Estimate> EstimateBatchEx(const std::vector<query::Query>& queries,
+                                        int64_t deadline_us = 0,
+                                        uint64_t* snapshot_id = nullptr) {
+    return EstimateBatchEx(std::string(), queries, deadline_us, snapshot_id);
+  }
 
   /// Asynchronous single-query estimation through the micro-batching
   /// scheduler. The returned Future completes after the query's micro-batch
   /// is dispatched and estimated; its value is identical to what the query
-  /// would get from EstimateBatch at that micro-batch's snapshot.
+  /// would get from EstimateBatch at that micro-batch's snapshot. At
+  /// dispatch the scheduler groups pending queries by key and serves each
+  /// group as one fused batch on one resolved model (never a mid-group mix
+  /// of models or snapshots).
   ///
   /// `deadline_us` (relative to submission; 0 = options().default_deadline_us,
   /// and 0 again = none) bounds how long the query may wait: the scheduler
@@ -305,13 +313,10 @@ class ServingEngine {
   /// (options().max_queue) and full, the query is shed instead of enqueued:
   /// the Future completes immediately with a flagged fallback estimate —
   /// Submit never blocks on overload.
-  Future Submit(query::Query query, int64_t deadline_us = 0);
-
-  /// Keyed Submit for zoo mode: the query joins the shared micro-batching
-  /// queue; at dispatch the scheduler groups pending queries BY KEY and
-  /// serves each group on its own pinned zoo model (one resolve per group,
-  /// never a mid-group mix of models). Only valid on a zoo-mode engine.
   Future Submit(const std::string& model_key, query::Query query, int64_t deadline_us = 0);
+  Future Submit(query::Query query, int64_t deadline_us = 0) {
+    return Submit(std::string(), std::move(query), deadline_us);
+  }
 
   /// Completion-callback variant of Submit for event-driven callers (the
   /// epoll front-end, src/net/server.h): `done` is invoked exactly once
@@ -321,12 +326,12 @@ class ServingEngine {
   /// non-blocking (it runs inside the dispatch path); it must not call back
   /// into this engine. Identical routing, deadlines, shedding, fusion and
   /// stats to Submit().
-  void SubmitWithCallback(query::Query query, int64_t deadline_us,
-                          std::function<void(const Estimate&)> done);
-
-  /// Keyed SubmitWithCallback for zoo mode (the Submit key semantics).
   void SubmitWithCallback(const std::string& model_key, query::Query query,
                           int64_t deadline_us, std::function<void(const Estimate&)> done);
+  void SubmitWithCallback(query::Query query, int64_t deadline_us,
+                          std::function<void(const Estimate&)> done) {
+    SubmitWithCallback(std::string(), std::move(query), deadline_us, std::move(done));
+  }
 
   /// Admission hook for front-ends that maintain their own in-flight
   /// budgets (src/net/server.h): answers every query straight from the
@@ -336,8 +341,8 @@ class ServingEngine {
   std::vector<Estimate> ShedBatch(const std::vector<query::Query>& queries);
 
   /// True when dispatches are routed by model key (zoo mode) — callers must
-  /// use the keyed overloads; false for fixed/registry engines, whose
-  /// key-less overloads must be used instead.
+  /// pass a non-empty key; false for fixed/registry engines, which serve the
+  /// empty key.
   bool keyed() const { return zoo_ != nullptr; }
 
   /// Feedback hook (the adaptation input): reports the true cardinality the
@@ -372,39 +377,38 @@ class ServingEngine {
   ServingEngine(query::CardinalityEstimator* estimator, ModelRegistry* registry,
                 ModelZoo* zoo, ServingOptions options);
 
-  /// What one dispatch serves on: the estimator plus (registry mode) the
-  /// pinned snapshot keeping it alive for the batch's duration.
+  /// What one dispatch serves on: the estimator plus the pin keeping it
+  /// alive for the batch's duration (registry snapshot or zoo model).
   struct Target {
     query::CardinalityEstimator* estimator = nullptr;
     std::shared_ptr<const ModelSnapshot> pin;
     /// Zoo mode: the pinned model (nullptr estimator + nullptr zoo_pin
     /// means the key's artifact failed to load — serve the fallback).
     std::shared_ptr<const ZooHandle> zoo_pin;
+    /// Registry snapshot id or zoo artifact fingerprint (0 in fixed mode).
     uint64_t snapshot_id = 0;
   };
 
-  /// Resolves the serving target for one dispatch: the fixed estimator, or
-  /// one acquire-load of the registry's current snapshot. Zoo mode returns
-  /// an empty target (keyed dispatches resolve through ResolveKey).
-  Target Resolve() const;
+  /// Resolves the serving target for one dispatch of `model_key`: zoo
+  /// engines pin the key's artifact model (a failed load yields an empty
+  /// target, and the dispatch degrades to the fallback, flagged), registry
+  /// engines acquire-load the current snapshot, fixed engines return the
+  /// estimator.
+  Target Resolve(const std::string& model_key) const;
 
-  /// Zoo-mode resolve: pins `model_key`'s artifact model for the dispatch.
-  /// A failed load yields an empty target (estimator == nullptr) — the
-  /// dispatch then degrades to the fallback, flagged.
-  Target ResolveKey(const std::string& model_key) const;
-
-  /// Shared sync-batch implementation behind the keyed and key-less
-  /// EstimateBatchEx overloads.
-  std::vector<Estimate> EstimateBatchImpl(const std::string* model_key,
-                                          const std::vector<query::Query>& queries,
-                                          int64_t deadline_us, uint64_t* snapshot_id);
-
-  /// Shared Submit implementation behind the keyed and key-less overloads
-  /// (Future and callback flavours both funnel here; `done` may be empty).
-  Future SubmitImpl(std::string model_key, query::Query query, int64_t deadline_us,
+  /// Shared Submit implementation (Future and callback flavours both funnel
+  /// here; `done` may be empty).
+  Future SubmitImpl(const std::string& model_key, query::Query query, int64_t deadline_us,
                     std::function<void(const Estimate&)> done);
 
-  /// Counts a dispatch against `target`'s snapshot (swap detection).
+  /// Serves one dispatch group — the sync batch, or one key's fused group of
+  /// an async micro-batch: resolve, NoteDispatch, ServeBatch, and the zoo
+  /// per-model serve count. Returns the served target's snapshot_id.
+  uint64_t ServeGroup(const std::string& model_key, const std::vector<query::Query>& queries,
+                      double* out, bool* degraded);
+
+  /// Counts a registry dispatch against `target`'s snapshot (swap
+  /// detection); fixed and zoo targets are not counted.
   void NoteDispatch(const Target& target);
 
   /// Runs `queries` sharded across the process pool on `target`, writing into
@@ -414,8 +418,9 @@ class ServingEngine {
   int64_t EstimateSharded(const Target& target, const std::vector<query::Query>& queries,
                           double* out, bool* degraded);
 
-  /// Breaker-aware batch serve: full fallback when the breaker is open,
-  /// else EstimateSharded with the dispatch outcome fed back to the breaker.
+  /// Breaker-aware batch serve: full fallback when the target is unresolved
+  /// or the breaker is open, else EstimateSharded with the dispatch outcome
+  /// fed back to the breaker.
   void ServeBatch(const Target& target, const std::vector<query::Query>& queries,
                   double* out, bool* degraded);
 

@@ -262,7 +262,7 @@ TEST_F(PlanCostTest, ChosenPlanBitwiseIdenticalAcrossEngineConfigs) {
   }
   {
     serve::ServingOptions opts;
-    opts.fuse_requests = false;
+    opts.max_batch = 1;  // unfused: every request dispatches alone
     const PlanSearchResult res = plan_with(opts, {});
     EXPECT_EQ(res.plan.order, baseline.plan.order);
     EXPECT_EQ(res.plan.estimated_cost, baseline.plan.estimated_cost);

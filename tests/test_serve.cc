@@ -172,7 +172,8 @@ TEST(ServingEngineTest, AsyncSubmitWaitReturnsPerQueryResults) {
   EXPECT_LE(stats.largest_micro_batch, 4);
 }
 
-// Cross-request fusion A/B: fused and unfused dispatch must return bitwise
+// Cross-request fusion A/B: fused (max_batch 8) and unfused (max_batch 1:
+// every query resolved and served alone) dispatch must return bitwise
 // identical per-request results (kernel batch invariance — fusion changes
 // throughput, never answers), and only the fused engine may count fused
 // groups.
@@ -187,9 +188,8 @@ TEST(ServingEngineTest, FusionIsBitwiseInvariantAndCounted) {
 
   for (const bool fuse : {true, false}) {
     serve::ServingOptions sopt;
-    sopt.max_batch = 8;
+    sopt.max_batch = fuse ? 8 : 1;
     sopt.max_wait_us = 50 * 1000;
-    sopt.fuse_requests = fuse;
     serve::ServingEngine engine(est, sopt);
     std::vector<serve::ServingEngine::Future> futures;
     futures.reserve(queries.size());

@@ -402,6 +402,53 @@ TEST(ZooServingTest, KeyedSubmitGroupsMicroBatchesByModel) {
   }
 }
 
+// Zoo models of different keys are different models, not versions of one:
+// alternating keys must not count as snapshot hot swaps, and the registry
+// snapshot gauges stay 0 in zoo mode (re-registration is counted by
+// ZooModelStats::evictions instead).
+TEST(ZooServingTest, AlternatingKeysAreNotSnapshotSwaps) {
+  ZooBed bed(2, 8, "swaps");
+  serve::ModelZoo zoo;
+  bed.RegisterAll(zoo);
+  serve::ServingEngine engine(zoo);
+
+  for (int round = 0; round < 3; ++round) {
+    for (size_t m = 0; m < bed.keys.size(); ++m) {
+      const std::vector<double> got = engine.EstimateBatch(bed.keys[m], bed.queries);
+      for (size_t q = 0; q < got.size(); ++q) EXPECT_EQ(got[q], bed.reference[m][q]);
+    }
+  }
+  const serve::ServingStats stats = engine.stats();
+  EXPECT_EQ(stats.sync_batches, 6u);
+  EXPECT_EQ(stats.snapshot_swaps, 0u) << "key A,B,A traffic counted as hot swaps";
+  EXPECT_EQ(stats.snapshot_id, 0u);
+}
+
+// The key contract is checked once, on the caller's thread: a zoo engine
+// needs a key, a single-model engine serves only the empty key. Both
+// engines own a scheduler thread, hence the threadsafe death-test style.
+TEST(ZooServingDeathTest, KeyMisuseDiesOnTheCallersThread) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ZooBed bed(1, 4, "death");
+  serve::ModelZoo zoo;
+  bed.RegisterAll(zoo);
+  EXPECT_DEATH(
+      {
+        serve::ServingEngine engine(zoo);
+        engine.EstimateBatch(bed.queries);
+      },
+      "engines take a model key");
+
+  core::DuetModel model(bed.table, SmallModelOptions(100));
+  core::DuetEstimator est(model);
+  EXPECT_DEATH(
+      {
+        serve::ServingEngine engine(est);
+        engine.Submit("k", bed.queries[0]);
+      },
+      "engines take a model key");
+}
+
 // ---- concurrency: readers vs publisher vs evictor ----
 
 TEST(ZooServingTest, ConcurrentServePublishEvictStaysBitwise) {
