@@ -50,6 +50,8 @@ EpochStats DuetTrainer::TrainEpoch(int epoch_index) {
   const int64_t bs = std::min<int64_t>(options_.batch_size, rows_used);
   const bool hybrid = options_.train_workload != nullptr && options_.lambda > 0.0f;
 
+  // Activation and gradient buffers recycle across this epoch's steps.
+  tensor::TrainingScope step_buffers;
   Timer timer;
   std::vector<uint32_t> perm = rng_.Permutation(static_cast<uint32_t>(rows));
   EpochStats stats;
@@ -136,6 +138,8 @@ EpochStats DuetTrainer::TrainEpoch(int epoch_index) {
 
 std::vector<EpochStats> DuetTrainer::Train(
     const std::function<void(const EpochStats&)>& on_epoch) {
+  // One arena for every epoch of this call; freed when it returns.
+  tensor::TrainingScope step_buffers;
   std::vector<EpochStats> history;
   history.reserve(static_cast<size_t>(options_.epochs));
   for (int e = 0; e < options_.epochs; ++e) {

@@ -57,7 +57,7 @@ tensor::Tensor MaskedLinear::EffectiveWeightCopy() const {
 }
 
 Tensor MaskedLinear::Forward(const Tensor& x, tensor::Activation act) const {
-  return tensor::MatMulBiasAct(x, tensor::Mul(w_, mask_), b_, act);
+  return tensor::MaskedMatMulBiasAct(x, w_, mask_, b_, act);
 }
 
 Mlp::Mlp(const std::vector<int64_t>& sizes, Rng& rng)

@@ -50,10 +50,11 @@ class Linear : public Module {
 /// Linear layer whose weight is elementwise-gated by a constant binary mask
 /// (the MADE connectivity constraint): y = x (W o M) + b.
 ///
-/// Forward materializes W o M as part of the graph, so W trains through the
-/// mask. Inference never calls it: the owning Made compiles its no-grad
-/// forward into a plan that packs EffectiveWeightCopy() once per
-/// (backend, parameter version) — see nn/made.h and nn/inference_plan.h.
+/// Forward is one fused graph node (tensor::MaskedMatMulBiasAct): W trains
+/// through the mask, which takes no gradient. Inference never calls it: the
+/// owning Made compiles its no-grad forward into a plan that packs
+/// EffectiveWeightCopy() once per (backend, parameter version) — see
+/// nn/made.h and nn/inference_plan.h.
 class MaskedLinear : public Module {
  public:
   /// `mask` must be an [in, out] tensor of 0/1 floats.

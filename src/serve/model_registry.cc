@@ -56,7 +56,7 @@ std::shared_ptr<const ModelSnapshot> ModelRegistry::Publish(
     model->EstimateSelectivity(query::Query{});
     if (options_.prewarm_arena_batch > 0) {
       // Arena warm-up: one representative-shape batch pass populates this
-      // thread's InferenceArena free lists with batch-sized activation
+      // thread's TensorArena free lists with batch-sized activation
       // buffers before the swap, so the first post-swap batch served from
       // this thread allocates nothing (see RegistryOptions).
       const std::vector<query::Query> warm(

@@ -72,10 +72,10 @@ struct RegistryOptions {
   /// compile latency. Off = lazy build on first traffic.
   bool prewarm = true;
   /// With prewarm on: additionally run one wildcard batch of this size so
-  /// the publisher thread's InferenceArena free lists (tensor/tensor.h)
+  /// the publisher thread's TensorArena free lists (tensor/tensor.h)
   /// hold recycled activation buffers for batch-shaped forwards — the first
   /// post-swap batch served from this thread then performs zero fresh
-  /// activation allocations (asserted via the InferenceArena alloc
+  /// activation allocations (asserted via the TensorArena alloc
   /// counters). The arena is thread-local, so this warms the *publishing*
   /// thread's pools; engine worker threads warm their own on first traffic,
   /// and a swap never invalidates them (pools are keyed by buffer size, not

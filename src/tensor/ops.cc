@@ -32,6 +32,29 @@ Tensor MakeResult(std::vector<int64_t> shape, bool track,
   return Tensor(std::move(impl));
 }
 
+/// Kernel scratch of n floats, zero-filled for accumulation or left
+/// unspecified for a buffer the caller overwrites. Inside a TrainingScope
+/// (or a NoGradScope) it is an arena buffer, recycled when the returned
+/// tensor dies.
+Tensor Scratch(int64_t n, bool zeroed) {
+  auto impl = std::make_shared<TensorImpl>();
+  impl->shape = {n};
+  if (!impl->AcquirePooled(static_cast<size_t>(n))) {
+    impl->value.resize(static_cast<size_t>(n));
+  } else if (zeroed) {
+    std::fill(impl->value.begin(), impl->value.end(), 0.0f);
+  }
+  return Tensor(std::move(impl));
+}
+
+/// The gradient buffer of a parent that takes one, else nullptr: constants
+/// (inputs, masks) get no gradient (see Tensor::Backward).
+float* GradOf(TensorImpl* t) {
+  if (!t->requires_grad) return nullptr;
+  t->EnsureGrad();
+  return t->grad.data();
+}
+
 /// Row count for a [B, D] style tensor (1-D tensors are treated as B=1).
 int64_t Rows(const Tensor& t) { return t.ndim() == 1 ? 1 : t.dim(0); }
 int64_t Cols(const Tensor& t) { return t.ndim() == 1 ? t.dim(0) : t.dim(1); }
@@ -171,47 +194,59 @@ inline void GemmAccum(const float* A, const float* B, float* C, int64_t M, int64
 
 /// Dot-form accumulate: C[m,n] += dot(A_m, B_n) over the contiguous last
 /// axis; A:[M,L], B:[N,L], C:[M,N]. This is dX += dY x W^T with W:[N,L].
+///
+/// The reduction order is the one the original `omp simd reduction` dot
+/// loop compiled to on the x86-64 baseline (SSE2): four lane sums, lane j
+/// adding the terms k = j, j+4, ... below L4 = L & ~3 in ascending order,
+/// lane 0 then adding the tail k = L4..L-1, and the lanes combined as
+/// ((l0 + l1) + l2) + l3 before the dot is added to C. Each lane is a
+/// k-ascending sum, i.e. a GEMM over that lane's columns, so the lanes run
+/// through GemmTiled on de-interleaved copies of A and B^T (skipping exact
+/// zeros, which never changes the sum) and trained parameters stay bitwise
+/// what that loop produced. The order is spelled out here rather than left
+/// to the vectorizer. Each task owns a band of C rows.
 void GemmDotAccum(const float* A, const float* B, float* C, int64_t M, int64_t N, int64_t L,
                   bool parallel) {
+  constexpr int64_t kLanes = 4;
+  constexpr int64_t kRowsPerTask = 32;
+  const int64_t body = L / kLanes;  // columns per lane below L4
+  const int64_t l4 = body * kLanes;
+  int64_t len[kLanes];
+  Tensor a_lane[kLanes], bt_lane[kLanes], sum[kLanes];
+  for (int64_t j = 0; j < kLanes; ++j) {
+    len[j] = body + (j == 0 ? L - l4 : 0);
+    a_lane[j] = Scratch(M * len[j], /*zeroed=*/false);
+    bt_lane[j] = Scratch(len[j] * N, /*zeroed=*/false);
+    sum[j] = Scratch(M * N, /*zeroed=*/true);
+  }
+  // Lane j's i-th column in summation order: j, j+4, ..., then lane 0's tail.
+  auto column = [&](int64_t j, int64_t i) { return i < body ? i * kLanes + j : l4 + (i - body); };
+  for (int64_t j = 0; j < kLanes; ++j) {
+    float* bp = bt_lane[j].data();
+    for (int64_t n = 0; n < N; ++n) {
+      for (int64_t i = 0; i < len[j]; ++i) bp[i * N + n] = B[n * L + column(j, i)];
+    }
+  }
   ParallelForChunked(
-      0, M,
+      0, (M + kRowsPerTask - 1) / kRowsPerTask,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t m = lo; m < hi; ++m) {
-          const float* arow = A + m * L;
-          float* crow = C + m * N;
-          for (int64_t n = 0; n < N; ++n) {
-            const float* brow = B + n * L;
-            float acc = 0.0f;
-#pragma omp simd reduction(+ : acc)
-            for (int64_t k = 0; k < L; ++k) acc += arow[k] * brow[k];
-            crow[n] += acc;
+        const int64_t m0 = lo * kRowsPerTask, m1 = std::min(M, hi * kRowsPerTask);
+        for (int64_t j = 0; j < kLanes; ++j) {
+          if (len[j] == 0) continue;
+          float* ap = a_lane[j].data();
+          for (int64_t m = m0; m < m1; ++m) {
+            for (int64_t i = 0; i < len[j]; ++i) ap[m * len[j] + i] = A[m * L + column(j, i)];
           }
+          GemmTiled(ap + m0 * len[j], bt_lane[j].data(), sum[j].data() + m0 * N, m1 - m0, len[j],
+                    N, /*parallel=*/false);
         }
+        const float* p0 = sum[0].data();
+        const float* p1 = sum[1].data();
+        const float* p2 = sum[2].data();
+        const float* p3 = sum[3].data();
+        for (int64_t i = m0 * N; i < m1 * N; ++i) C[i] += ((p0[i] + p1[i]) + p2[i]) + p3[i];
       },
-      parallel, /*grain=*/8);
-}
-
-/// Weight-gradient accumulate: C[k,n] += sum_m A[m,k] * G[m,n]; parallel
-/// over k rows so accumulation is race-free. Keeps the zero-skip — A is a
-/// sparse one-hot-heavy input on the layers where this matters.
-void GemmAtBAccum(const float* A, const float* G, float* C, int64_t M, int64_t K, int64_t N,
-                  bool parallel) {
-  ParallelForChunked(
-      0, K,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t m = 0; m < M; ++m) {
-          const float* arow = A + m * K;
-          const float* grow = G + m * N;
-          for (int64_t k = lo; k < hi; ++k) {
-            const float av = arow[k];
-            if (av == 0.0f) continue;
-            float* crow = C + k * N;
-#pragma omp simd
-            for (int64_t n = 0; n < N; ++n) crow[n] += av * grow[n];
-          }
-        }
-      },
-      parallel, /*grain=*/8);
+      parallel, /*grain=*/1);
 }
 
 /// Scalar-reference dX: the original dot loop (no omp simd reduction), used
@@ -242,6 +277,32 @@ inline void GemmDot(const float* A, const float* B, float* C, int64_t M, int64_t
   } else {
     GemmDotAccum(A, B, C, M, N, L, parallel);
   }
+}
+
+/// Weight-gradient accumulate: C[k,n] += sum_m A[m,k] * G[m,n], i.e.
+/// C += A^T x G, run through GemmAccum on a transposed scratch copy of A.
+/// Per output the terms still add m-ascending and only exact-zero products
+/// are skipped (GemvRowSparse says why a skipped term never changes the
+/// sum), so the tiled and scalar-reference kernels agree bitwise with each
+/// other and with the row loop over m that this replaced. Each task owns a
+/// band of C rows (A columns): it transposes that band and multiplies it,
+/// so the split is race-free.
+void GemmAtBAccum(const float* A, const float* G, float* C, int64_t M, int64_t K, int64_t N,
+                  bool parallel) {
+  constexpr int64_t kRowsPerTask = 32;
+  Tensor at = Scratch(K * M, /*zeroed=*/false);
+  float* t = at.data();
+  ParallelForChunked(
+      0, (K + kRowsPerTask - 1) / kRowsPerTask,
+      [&](int64_t lo, int64_t hi) {
+        const int64_t k0 = lo * kRowsPerTask, k1 = std::min(K, hi * kRowsPerTask);
+        for (int64_t m = 0; m < M; ++m) {
+          const float* arow = A + m * K;
+          for (int64_t k = k0; k < k1; ++k) t[k * M + m] = arow[k];
+        }
+        GemmAccum(t + k0 * M, G, C + k0 * N, k1 - k0, M, N, /*parallel=*/false);
+      },
+      parallel, /*grain=*/1);
 }
 
 /// Shared fused bias+activation epilogue over [B, O] rows. One pass adds the
@@ -305,22 +366,22 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
     out.impl()->backward = [ai, wi, oi, b, i_dim, o]() {
       const float* gout = oi->grad.data();
       const bool par = GemmParallel(b, i_dim, o);
-      if (ai->requires_grad || !ai->parents.empty() || ai->backward) {
-        ai->EnsureGrad();
-        // dA[r,k] = sum_c gout[r,c] * W[k,c]
-        GemmDot(gout, wi->value.data(), ai->grad.data(), b, i_dim, o, par);
-      }
-      {
-        wi->EnsureGrad();
-        // dW[k,c] = sum_r A[r,k] * gout[r,c]
-        GemmAtBAccum(ai->value.data(), gout, wi->grad.data(), b, i_dim, o, par);
-      }
+      // dA[r,k] = sum_c gout[r,c] * W[k,c]
+      if (float* ga = GradOf(ai)) GemmDot(gout, wi->value.data(), ga, b, i_dim, o, par);
+      // dW[k,c] = sum_r A[r,k] * gout[r,c]
+      if (float* gw = GradOf(wi)) GemmAtBAccum(ai->value.data(), gout, gw, b, i_dim, o, par);
     };
   }
   return out;
 }
 
-Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
+namespace {
+
+/// act(a x w_eff + bias), where w_eff is w itself or, given a mask, W o M
+/// written into a scratch buffer. The one implementation behind
+/// MatMulBiasAct and MaskedMatMulBiasAct.
+Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Tensor& bias,
+                  Activation act) {
   DUET_CHECK_EQ(a.ndim(), 2);
   DUET_CHECK_EQ(w.ndim(), 2);
   DUET_CHECK_EQ(bias.ndim(), 1);
@@ -329,24 +390,38 @@ Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activ
   DUET_CHECK_EQ(o, bias.dim(0));
   const bool track = TrackGrad({&a, &w, &bias});
   Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl(), bias.impl()});
+  Tensor w_eff = w;
+  if (mask != nullptr) {
+    DUET_CHECK_EQ(mask->numel(), w.numel());
+    const int64_t n = w.numel();
+    w_eff = Scratch(n, /*zeroed=*/false);
+    const float* wp = w.data();
+    const float* mp = mask->data();
+    float* ep = w_eff.data();
+    for (int64_t i = 0; i < n; ++i) ep[i] = wp[i] * mp[i];
+  }
   float* cp = out.data();
   const bool par = GemmParallel(b, i_dim, o);
-  GemmAccum(a.data(), w.data(), cp, b, i_dim, o, par);
+  GemmAccum(a.data(), w_eff.data(), cp, b, i_dim, o, par);
   BiasActRows(cp, bias.data(), b, o, act, par);
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get();
     TensorImpl* bi = bias.impl().get(); TensorImpl* oi = out.impl().get();
-    out.impl()->backward = [ai, wi, bi, oi, b, i_dim, o, act]() {
+    // Neither is a parent, so the closure keeps them alive: the effective
+    // weight dA multiplies by, and the mask the dW epilogue applies.
+    Impl ei = w_eff.impl();
+    Impl mi = mask != nullptr ? mask->impl() : nullptr;
+    out.impl()->backward = [ai, wi, bi, oi, ei, mi, b, i_dim, o, act]() {
       const int64_t n = b * o;
       const float* g = oi->grad.data();
       const float* y = oi->value.data();
       // Gradient w.r.t. the pre-activation; every activation derivative here
       // is expressible from the output y, so no pre-activation is retained.
-      std::vector<float> g_pre_buf;
+      Tensor g_pre;
       const float* gp = g;
       if (act != Activation::kNone) {
-        g_pre_buf.resize(static_cast<size_t>(n));
-        float* t = g_pre_buf.data();
+        g_pre = Scratch(n, /*zeroed=*/false);
+        float* t = g_pre.data();
         switch (act) {
           case Activation::kRelu:
             for (int64_t i = 0; i < n; ++i) t[i] = y[i] > 0.0f ? g[i] : 0.0f;
@@ -363,21 +438,42 @@ Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activ
         gp = t;
       }
       const bool par = GemmParallel(b, i_dim, o);
-      if (ai->requires_grad || !ai->parents.empty() || ai->backward) {
-        ai->EnsureGrad();
-        GemmDot(gp, wi->value.data(), ai->grad.data(), b, i_dim, o, par);
+      if (float* ga = GradOf(ai)) GemmDot(gp, ei->value.data(), ga, b, i_dim, o, par);
+      if (float* gw = GradOf(wi)) {
+        if (mi == nullptr) {
+          GemmAtBAccum(ai->value.data(), gp, gw, b, i_dim, o, par);
+        } else {
+          // Epilogue: A^T x G goes to a zeroed scratch and is added in times
+          // the mask — the very sum the composed Mul(w, mask) node's
+          // backward forms — so dW is bitwise the composed one and the mask
+          // takes no gradient.
+          Tensor dw_eff = Scratch(i_dim * o, /*zeroed=*/true);
+          float* d = dw_eff.data();
+          GemmAtBAccum(ai->value.data(), gp, d, b, i_dim, o, par);
+          const float* m = mi->value.data();
+          for (int64_t i = 0; i < i_dim * o; ++i) gw[i] += d[i] * m[i];
+        }
       }
-      wi->EnsureGrad();
-      GemmAtBAccum(ai->value.data(), gp, wi->grad.data(), b, i_dim, o, par);
-      bi->EnsureGrad();
-      float* gb = bi->grad.data();
-      for (int64_t r = 0; r < b; ++r) {
-        const float* grow = gp + r * o;
-        for (int64_t c = 0; c < o; ++c) gb[c] += grow[c];
+      if (float* gb = GradOf(bi)) {
+        for (int64_t r = 0; r < b; ++r) {
+          const float* grow = gp + r * o;
+          for (int64_t c = 0; c < o; ++c) gb[c] += grow[c];
+        }
       }
     };
   }
   return out;
+}
+
+}  // namespace
+
+Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
+  return DenseLayer(a, w, nullptr, bias, act);
+}
+
+Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& mask,
+                           const Tensor& bias, Activation act) {
+  return DenseLayer(a, w, &mask, bias, act);
 }
 
 Tensor AddBias(const Tensor& x, const Tensor& bias) {
@@ -397,14 +493,12 @@ Tensor AddBias(const Tensor& x, const Tensor& bias) {
     TensorImpl* xi = x.impl().get(); TensorImpl* bi = bias.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, bi, oi, b, o]() {
       const float* g = oi->grad.data();
-      xi->EnsureGrad();
-      bi->EnsureGrad();
-      float* gx = xi->grad.data();
-      float* gb = bi->grad.data();
-      for (int64_t r = 0; r < b; ++r) {
-        for (int64_t c = 0; c < o; ++c) {
-          gx[r * o + c] += g[r * o + c];
-          gb[c] += g[r * o + c];
+      if (float* gx = GradOf(xi)) {
+        for (int64_t i = 0; i < b * o; ++i) gx[i] += g[i];
+      }
+      if (float* gb = GradOf(bi)) {
+        for (int64_t r = 0; r < b; ++r) {
+          for (int64_t c = 0; c < o; ++c) gb[c] += g[r * o + c];
         }
       }
     };
@@ -427,17 +521,15 @@ Tensor BinaryElementwise(const Tensor& a, const Tensor& b, Fwd fwd, Bwd bwd) {
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* bi = b.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [ai, bi, oi, n, bwd]() {
-      ai->EnsureGrad();
-      bi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* av = ai->value.data();
       const float* bv = bi->value.data();
-      float* ga = ai->grad.data();
-      float* gb = bi->grad.data();
+      float* ga = GradOf(ai);
+      float* gb = GradOf(bi);
       for (int64_t i = 0; i < n; ++i) {
         const auto [da, db] = bwd(av[i], bv[i]);
-        ga[i] += g[i] * da;
-        gb[i] += g[i] * db;
+        if (ga != nullptr) ga[i] += g[i] * da;
+        if (gb != nullptr) gb[i] += g[i] * db;
       }
     };
   }
@@ -571,11 +663,11 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
       const float* g = oi->grad.data();
       int64_t off = 0;
       for (size_t k = 0; k < impls.size(); ++k) {
-        impls[k]->EnsureGrad();
-        float* gp = impls[k]->grad.data();
         const int64_t w = widths[k];
-        for (int64_t r = 0; r < b; ++r) {
-          for (int64_t c = 0; c < w; ++c) gp[r * w + c] += g[r * total + off + c];
+        if (float* gp = GradOf(impls[k].get())) {
+          for (int64_t r = 0; r < b; ++r) {
+            for (int64_t c = 0; c < w; ++c) gp[r * w + c] += g[r * total + off + c];
+          }
         }
         off += w;
       }
@@ -611,10 +703,10 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
       const float* g = oi->grad.data();
       int64_t row = 0;
       for (const auto& im : impls) {
-        im->EnsureGrad();
         const int64_t r = im->shape.size() == 1 ? 1 : im->shape[0];
-        float* gp = im->grad.data();
-        for (int64_t i = 0; i < r * h; ++i) gp[i] += g[row * h + i];
+        if (float* gp = GradOf(im.get())) {
+          for (int64_t i = 0; i < r * h; ++i) gp[i] += g[row * h + i];
+        }
         row += r;
       }
     };
@@ -932,17 +1024,12 @@ Tensor Select(const std::vector<float>& cond, const Tensor& a, const Tensor& b) 
     TensorImpl* ai = a.impl().get(); TensorImpl* bi = b.impl().get(); TensorImpl* oi = out.impl().get();
     std::vector<float> c = cond;
     out.impl()->backward = [ai, bi, oi, c, n]() {
-      ai->EnsureGrad();
-      bi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* ga = ai->grad.data();
-      float* gb = bi->grad.data();
+      float* ga = GradOf(ai);
+      float* gb = GradOf(bi);
       for (int64_t i = 0; i < n; ++i) {
-        if (c[static_cast<size_t>(i)] != 0.0f) {
-          ga[i] += g[i];
-        } else {
-          gb[i] += g[i];
-        }
+        float* dst = c[static_cast<size_t>(i)] != 0.0f ? ga : gb;
+        if (dst != nullptr) dst[i] += g[i];
       }
     };
   }
@@ -1053,9 +1140,7 @@ Tensor BlockDiagMatMul(const Tensor& x, const Tensor& w, int64_t num_blocks, int
       const float* g = oi->grad.data();
       const float* wp = wi->value.data();
       const float* xp = xi->value.data();
-      if (xi->requires_grad) {
-        xi->EnsureGrad();
-        float* gx = xi->grad.data();
+      if (float* gx = GradOf(xi)) {
         for (int64_t r = 0; r < b; ++r) {
           for (int64_t k = 0; k < num_blocks; ++k) {
             const float* gs = g + r * num_blocks * out + k * out;
@@ -1070,9 +1155,7 @@ Tensor BlockDiagMatMul(const Tensor& x, const Tensor& w, int64_t num_blocks, int
           }
         }
       }
-      {
-        wi->EnsureGrad();
-        float* gw = wi->grad.data();
+      if (float* gw = GradOf(wi)) {
         for (int64_t r = 0; r < b; ++r) {
           for (int64_t k = 0; k < num_blocks; ++k) {
             const float* xs = xp + r * num_blocks * in + k * in;

@@ -45,6 +45,16 @@ enum class Activation : int32_t {
 /// activation buffers). a:[B,I], w:[I,O], bias:[O].
 Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act);
 
+/// Fused masked dense layer: act(a x (w o mask) + bias), where `mask` is a
+/// constant [I,O] tensor (the MADE connectivity mask). Bitwise equal to
+/// MatMulBiasAct(a, Mul(w, mask), bias, act) in the output and in the
+/// gradients of a, w and bias, but it adds one graph node instead of two:
+/// W o M is written into a scratch buffer (step-scoped under a
+/// TrainingScope) and the mask is applied to dW as it is accumulated, so the
+/// mask takes no gradient.
+Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& mask,
+                           const Tensor& bias, Activation act);
+
 /// Raw-buffer fused dense layer for the no-autograd execution layer (packed
 /// weights / compiled inference plans): overwrites out[m*n] with
 /// act(a x w + bias), running the exact same GEMM + epilogue code as
@@ -60,7 +70,10 @@ void RawBiasAct(float* c, const float* bias, int64_t b, int64_t o, Activation ac
 
 /// Routes MatMul / MatMulBiasAct through the original scalar triple-loop
 /// kernels (forward and backward). Correctness reference for the tiled GEMM
-/// tests; never enabled on hot paths.
+/// tests; never enabled on hot paths. The forward and dW kernels of both
+/// selections are bitwise equal (k- resp. m-ascending sums that skip only
+/// exact-zero products); dX keeps a vectorized dot reduction in the tiled
+/// selection, so it matches the reference only to rounding.
 void SetUseScalarKernels(bool use);
 bool UseScalarKernels();
 

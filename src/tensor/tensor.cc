@@ -15,18 +15,20 @@ namespace {
 
 thread_local bool t_grad_enabled = true;
 
-/// Per-thread inference arena: free lists keyed by exact buffer size. Shapes
-/// repeat across batched forward calls, so exact-size buckets reach a 100%
-/// hit rate after one warm-up pass. Total pooled bytes are capped so a
-/// long-running server that sees many distinct shapes cannot accumulate
-/// unbounded per-thread memory; buffers past the cap are simply freed.
+/// Per-thread tensor arena: free lists keyed by exact buffer size. Shapes
+/// repeat across batched forward calls and training steps, so exact-size
+/// buckets reach a 100% hit rate after one warm-up pass. Total pooled bytes
+/// are capped so a long-running server that sees many distinct shapes cannot
+/// accumulate unbounded per-thread memory; buffers past the cap are simply
+/// freed.
 constexpr size_t kMaxPooledBytes = size_t{256} << 20;  // 256 MiB per thread
 
 struct ArenaState {
-  bool active = false;
+  bool active = false;     // a NoGradScope is open
+  int training_depth = 0;  // open TrainingScopes
   size_t pooled_bytes = 0;
   std::unordered_map<size_t, std::vector<std::vector<float>>> pool;
-  InferenceArena::Stats stats;
+  TensorArena::Stats stats;
 };
 thread_local ArenaState t_arena;
 
@@ -59,20 +61,19 @@ bool NoGradGuard::GradEnabled() { return t_grad_enabled; }
 NoGradScope::NoGradScope() : prev_active_(t_arena.active) { t_arena.active = true; }
 NoGradScope::~NoGradScope() { t_arena.active = prev_active_; }
 
-bool InferenceArena::Active() { return t_arena.active; }
-InferenceArena::Stats InferenceArena::stats() { return t_arena.stats; }
-void InferenceArena::ResetStats() { t_arena.stats = Stats{}; }
-void InferenceArena::Clear() {
+TrainingScope::TrainingScope() { ++t_arena.training_depth; }
+TrainingScope::~TrainingScope() {
+  if (--t_arena.training_depth == 0) TensorArena::Clear();
+}
+
+TensorArena::Stats TensorArena::stats() { return t_arena.stats; }
+void TensorArena::ResetStats() { t_arena.stats = Stats{}; }
+void TensorArena::Clear() {
   t_arena.pool.clear();
   t_arena.pooled_bytes = 0;
 }
 
-std::vector<float> InferenceArena::Acquire(size_t n) {
-  // Fault point: buffer acquisition is where a real allocation failure
-  // (std::bad_alloc) would surface on the inference path; the serving
-  // layer must degrade the affected shard, not crash.
-  serve::FaultInjector::MaybeThrow(serve::FaultPoint::kAllocation,
-                                   "injected arena allocation failure");
+std::vector<float> TensorArena::Acquire(size_t n) {
   auto it = t_arena.pool.find(n);
   if (it != t_arena.pool.end() && !it->second.empty()) {
     std::vector<float> buf = std::move(it->second.back());
@@ -85,7 +86,10 @@ std::vector<float> InferenceArena::Acquire(size_t n) {
   return std::vector<float>(n);
 }
 
-void InferenceArena::Release(std::vector<float>&& buf) {
+void TensorArena::Release(std::vector<float>&& buf, TensorImpl::Pool pool) {
+  // A step buffer outliving every TrainingScope on this thread is freed:
+  // the scope's promise is that training leaves nothing pooled behind.
+  if (pool == TensorImpl::Pool::kStep && t_arena.training_depth == 0) return;
   const size_t bytes = buf.size() * sizeof(float);
   if (t_arena.pooled_bytes + bytes > kMaxPooledBytes) return;  // drop: cap reached
   t_arena.pooled_bytes += bytes;
@@ -94,17 +98,51 @@ void InferenceArena::Release(std::vector<float>&& buf) {
 }
 
 TensorImpl::~TensorImpl() {
-  if (pooled) InferenceArena::Release(std::move(value));
+  if (pooled == Pool::kNone) return;
+  TensorArena::Release(std::move(value), pooled);
+  if (!grad.empty()) TensorArena::Release(std::move(grad), pooled);
 }
 
 void TensorImpl::AllocValue(size_t n, float fill) {
-  if (InferenceArena::Active() && !requires_grad) {
-    value = InferenceArena::Acquire(n);
-    pooled = true;
+  if (AcquirePooled(n)) {
     std::fill(value.begin(), value.end(), fill);
-    return;
+  } else {
+    value.assign(n, fill);
   }
-  value.assign(n, fill);
+}
+
+bool TensorImpl::AcquirePooled(size_t n) {
+  if (t_arena.training_depth > 0) {
+    pooled = Pool::kStep;
+  } else if (t_arena.active && !requires_grad) {
+    // Fault point: buffer acquisition is where a real allocation failure
+    // (std::bad_alloc) would surface on the inference path; the serving
+    // layer must degrade the affected shard, not crash.
+    serve::FaultInjector::MaybeThrow(serve::FaultPoint::kAllocation,
+                                     "injected arena allocation failure");
+    pooled = Pool::kInference;
+  } else {
+    return false;
+  }
+  value = TensorArena::Acquire(n);
+  return true;
+}
+
+void TensorImpl::ReleaseGrad() {
+  std::vector<float> buf = std::move(grad);  // leaves grad empty
+  if (pooled != Pool::kNone && !buf.empty()) TensorArena::Release(std::move(buf), pooled);
+}
+
+void TensorImpl::ResetGrad() {
+  const size_t n = value.size();
+  if (grad.size() != n) {
+    if (pooled == Pool::kNone) {
+      grad.assign(n, 0.0f);
+      return;
+    }
+    grad = TensorArena::Acquire(n);
+  }
+  std::fill(grad.begin(), grad.end(), 0.0f);
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape, bool requires_grad) {
@@ -206,7 +244,8 @@ void Tensor::ZeroGrad() {
 
 void Tensor::Backward() {
   DUET_CHECK(impl_ != nullptr);
-  // Iterative post-order DFS to get a topological order of the graph.
+  // Iterative post-order DFS to get a topological order of the nodes that
+  // take a gradient; constants (requires_grad == false) are not visited.
   std::vector<TensorImpl*> order;
   std::unordered_set<TensorImpl*> visited;
   struct Frame {
@@ -220,20 +259,33 @@ void Tensor::Backward() {
     Frame& top = stack.back();
     if (top.next_parent < top.node->parents.size()) {
       TensorImpl* parent = top.node->parents[top.next_parent++].get();
-      if (visited.insert(parent).second) stack.push_back({parent, 0});
+      if (parent->requires_grad && visited.insert(parent).second) stack.push_back({parent, 0});
     } else {
       order.push_back(top.node);
       stack.pop_back();
     }
   }
-  // Fresh gradient buffers for the whole graph, then seed the root with 1s.
+  // Leaves start from zeros; op results start empty and get a zeroed
+  // buffer from their first consumer (GradOf / EnsureGrad in ops.cc). Then
+  // seed the root with 1s.
   for (TensorImpl* node : order) {
-    node->grad.assign(node->value.size(), 0.0f);
+    if (node->backward) {
+      node->ReleaseGrad();
+    } else {
+      node->ResetGrad();
+    }
   }
+  impl_->EnsureGrad();
   std::fill(impl_->grad.begin(), impl_->grad.end(), 1.0f);
-  // Reverse topological order: root last in `order`.
+  // Reverse topological order: root last in `order`. Once a node's backward
+  // has run, every consumer has already added into its gradient and only
+  // that backward reads it, so the buffer goes back right away.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    if ((*it)->backward) (*it)->backward();
+    TensorImpl* node = *it;
+    if (!node->backward) continue;
+    node->EnsureGrad();
+    node->backward();
+    node->ReleaseGrad();
   }
 }
 

@@ -29,12 +29,19 @@ class Tensor;
 
 /// Reference-counted tensor storage + autograd node.
 struct TensorImpl {
+  /// Which TensorArena pool `value` (and `grad`) were drawn from; both go
+  /// back to the dying thread's arena on destruction.
+  enum class Pool : uint8_t {
+    kNone = 0,       // plain heap
+    kInference = 1,  // NoGradScope buffer: kept in the arena past the scope
+    kStep = 2,       // TrainingScope buffer: freed once no scope is open
+  };
+
   std::vector<int64_t> shape;
   std::vector<float> value;
   std::vector<float> grad;  // lazily sized to value.size()
   bool requires_grad = false;
-  /// Value buffer came from the inference arena; returned on destruction.
-  bool pooled = false;
+  Pool pooled = Pool::kNone;
   std::function<void()> backward;  // accumulates into parents' grads
   std::vector<std::shared_ptr<TensorImpl>> parents;
 
@@ -43,9 +50,24 @@ struct TensorImpl {
   TensorImpl(const TensorImpl&) = delete;
   TensorImpl& operator=(const TensorImpl&) = delete;
 
-  /// Sizes `value` to n floats filled with `fill`. Inside a NoGradScope the
-  /// buffer is recycled from the thread-local inference arena when possible.
+  /// Sizes `value` to n floats filled with `fill`. Inside a TrainingScope,
+  /// or inside a NoGradScope for a tensor that takes no gradient, the
+  /// buffer is recycled from the thread-local TensorArena when possible.
   void AllocValue(size_t n, float fill);
+
+  /// The arena half of AllocValue: when a scope calls for it, draws `value`
+  /// (n floats, contents unspecified) from the thread's TensorArena and
+  /// returns true; otherwise leaves `value` alone and returns false. For
+  /// kernel scratch that is fully overwritten, so it skips the fill.
+  bool AcquirePooled(size_t n);
+
+  /// Sizes `grad` to value.size() and zero-fills it; a pooled node's
+  /// gradient comes from the arena like its value.
+  void ResetGrad();
+
+  /// Gives the gradient buffer back (to the arena when pooled); grad is
+  /// empty afterwards.
+  void ReleaseGrad();
 
   int64_t numel() const {
     int64_t n = 1;
@@ -53,16 +75,17 @@ struct TensorImpl {
     return n;
   }
   void EnsureGrad() {
-    if (grad.size() != value.size()) grad.assign(value.size(), 0.0f);
+    if (grad.size() != value.size()) ResetGrad();
   }
 };
 
-/// Thread-local buffer pool for forward-only (inference) passes. While a
-/// NoGradScope is active, tensor value buffers are drawn from per-size free
-/// lists and recycled when their TensorImpl dies, so a steady-state batched
-/// forward performs zero heap allocations for activations. The counters
-/// below are the allocation hook benches/tests assert against.
-class InferenceArena {
+/// Thread-local buffer pool behind the two allocation scopes below. Buffers
+/// are kept in per-size free lists and recycled when their TensorImpl dies,
+/// so a loop that repeats the same shapes — batched forwards under
+/// NoGradScope, training steps under TrainingScope — performs zero heap
+/// allocations for activations and gradients after its first pass. The
+/// counters below are the allocation hook benches/tests assert against.
+class TensorArena {
  public:
   struct Stats {
     uint64_t fresh_allocs = 0;  // pool miss: a new buffer was heap-allocated
@@ -70,8 +93,6 @@ class InferenceArena {
     uint64_t returns = 0;       // buffers recycled back into the pool
   };
 
-  /// True while a NoGradScope is active on this thread.
-  static bool Active();
   static Stats stats();
   static void ResetStats();
   /// Frees every pooled buffer on this thread.
@@ -81,7 +102,7 @@ class InferenceArena {
   friend struct TensorImpl;
   friend class NoGradScope;
   static std::vector<float> Acquire(size_t n);
-  static void Release(std::vector<float>&& buf);
+  static void Release(std::vector<float>&& buf, TensorImpl::Pool pool);
 };
 
 /// Monotonic counter identifying the current "version" of the model
@@ -157,7 +178,7 @@ class NoGradGuard {
 };
 
 /// Explicit inference mode: disables graph construction like NoGradGuard and
-/// additionally activates the thread-local InferenceArena so activation
+/// additionally activates the thread-local TensorArena so activation
 /// buffers are recycled across forward passes. Numerics are identical to
 /// tracked mode — only allocation behaviour changes.
 class NoGradScope {
@@ -170,6 +191,24 @@ class NoGradScope {
  private:
   NoGradGuard guard_;
   bool prev_active_;
+};
+
+/// Step-scoped training buffers. While one is alive on a thread, every
+/// tensor buffer made on that thread — op outputs, the gradient buffers
+/// Tensor::Backward hands out, kernel scratch — comes from the thread's
+/// TensorArena and returns to it when its tensor dies, so the steps of one
+/// training loop reuse each other's buffers instead of heap-allocating
+/// fresh ones. When the outermost scope on the thread ends,
+/// the arena frees everything it holds (inference buffers included), and a
+/// step buffer released later is freed rather than pooled: training leaves
+/// no per-thread memory behind in a long-lived process. Numerics are
+/// unchanged. Nests; only the outermost scope frees.
+class TrainingScope {
+ public:
+  TrainingScope();
+  ~TrainingScope();
+  TrainingScope(const TrainingScope&) = delete;
+  TrainingScope& operator=(const TrainingScope&) = delete;
 };
 
 /// Value-semantics handle over TensorImpl.
@@ -212,7 +251,14 @@ class Tensor {
   void ZeroGrad();
 
   /// Runs reverse-mode autodiff from this tensor. The seed gradient is 1 for
-  /// every element (callers typically invoke this on a scalar loss).
+  /// every element (callers typically invoke this on a scalar loss). Only
+  /// nodes on a path to a requires_grad leaf take part. A leaf's gradient
+  /// is reset to zeros and then accumulated; it stays readable afterwards.
+  /// An op result gets a zeroed gradient buffer when its first consumer
+  /// adds into it and gives it back once its own backward has run, so only
+  /// the gradient frontier is ever allocated and op results hold no
+  /// gradient afterwards. Constants such as an input batch or a mask never
+  /// get a gradient buffer.
   void Backward();
 
   /// Deep copy of values only (no graph, no grad).

@@ -96,15 +96,15 @@ TEST(BatchApiTest, DuetSteadyStateBatchedForwardAllocatesNothing) {
   core::DuetModel model(t, opt);
   const std::vector<Query> queries = TestQueries(t, 30, 0.0);
 
-  tensor::InferenceArena::Clear();
+  tensor::TensorArena::Clear();
   model.EstimateSelectivityBatch(queries);  // warm-up populates the arena
-  tensor::InferenceArena::ResetStats();
+  tensor::TensorArena::ResetStats();
   for (int pass = 0; pass < 3; ++pass) model.EstimateSelectivityBatch(queries);
-  const tensor::InferenceArena::Stats stats = tensor::InferenceArena::stats();
+  const tensor::TensorArena::Stats stats = tensor::TensorArena::stats();
   EXPECT_EQ(stats.fresh_allocs, 0u)
       << "steady-state batched forward must not allocate activation buffers";
   EXPECT_GT(stats.reuses, 0u);
-  tensor::InferenceArena::Clear();
+  tensor::TensorArena::Clear();
 }
 
 TEST(BatchApiTest, EvaluateQErrorsMatchesPerQueryPath) {

@@ -455,6 +455,32 @@ TEST(DuetTrainingTest, ThroughputIsReported) {
   EXPECT_GT(stats.seconds, 0.0);
 }
 
+TEST(DuetTrainingTest, HybridEpochReusesStepBuffers) {
+  // Every step of a hybrid epoch has the same shapes, so once one epoch has
+  // warmed the arena, the next one draws every activation and gradient
+  // buffer from it. The outer scope keeps the arena alive across the two
+  // epochs, which each open (and would otherwise free) their own.
+  data::Table t = SmallTable(600, 14);
+  query::WorkloadSpec wspec;
+  wspec.num_queries = 64;
+  wspec.seed = 7;
+  const query::Workload train_wl = query::WorkloadGenerator(t, wspec).Generate();
+  DuetModelOptions mopt;
+  mopt.hidden_sizes = {32, 32};
+  mopt.residual = true;
+  DuetModel model(t, mopt);
+  TrainOptions topt;
+  topt.batch_size = 100;
+  topt.train_workload = &train_wl;
+  DuetTrainer trainer(model, topt);
+  tensor::TrainingScope scope;
+  trainer.TrainEpoch(0);
+  tensor::TensorArena::ResetStats();
+  trainer.TrainEpoch(1);
+  EXPECT_EQ(tensor::TensorArena::stats().fresh_allocs, 0u);
+  EXPECT_GT(tensor::TensorArena::stats().reuses, 0u);
+}
+
 TEST(DuetModelTest, SaveLoadPreservesEstimates) {
   data::Table t = SmallTable(500, 14);
   DuetModelOptions mopt;

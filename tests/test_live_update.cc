@@ -387,7 +387,7 @@ TEST(LiveUpdateTest, WorkerPublishesWhenFeedbackImproves) {
 // Arena warm-up (RegistryOptions::prewarm_arena_batch): Publish's prewarm
 // also runs one batch-shaped pass, so the first post-swap batch served from
 // the publisher's thread draws every activation buffer from the warmed
-// thread-local InferenceArena pools instead of heap-allocating. The arena
+// thread-local TensorArena pools instead of heap-allocating. The arena
 // is thread-local, so the assertion runs on the publishing thread (worker
 // threads warm their own pools on first traffic).
 TEST(LiveUpdateTest, PrewarmPopulatesPublisherArenaForFirstPostSwapBatch) {
@@ -400,15 +400,15 @@ TEST(LiveUpdateTest, PrewarmPopulatesPublisherArenaForFirstPostSwapBatch) {
 
   auto clone = registry.CloneCurrent();
   PerturbParameters(*clone, 5);
-  tensor::InferenceArena::Clear();  // cold pools: prove Publish rewarms them
+  tensor::TensorArena::Clear();  // cold pools: prove Publish rewarms them
   const auto snap = registry.Publish(std::move(clone));
-  tensor::InferenceArena::ResetStats();
+  tensor::TensorArena::ResetStats();
   snap->estimator().EstimateSelectivityBatch(queries);
-  const tensor::InferenceArena::Stats stats = tensor::InferenceArena::stats();
+  const tensor::TensorArena::Stats stats = tensor::TensorArena::stats();
   EXPECT_EQ(stats.fresh_allocs, 0u)
       << "first post-swap batch on the publisher thread paid allocation";
   EXPECT_GT(stats.reuses, 0u);
-  tensor::InferenceArena::Clear();
+  tensor::TensorArena::Clear();
 }
 
 TEST(LiveUpdateTest, OverflowedFeedbackIsDroppedOldestFirstAndCounted) {

@@ -1,14 +1,20 @@
 // Tiled-GEMM correctness: the register-blocked MatMul / MatMulBiasAct
-// kernels must match the scalar triple-loop reference (forward and backward)
-// on ragged shapes, NoGradScope must be bitwise transparent, and the
-// inference arena must reach a zero-allocation steady state.
+// kernels must match the scalar triple-loop reference bitwise in the
+// forward and dW (dX to rounding) on ragged and zero-heavy shapes, dX must
+// follow its documented four-lane order, the fused masked layer must equal
+// the composed ops bitwise, NoGradScope must be bitwise transparent, and the
+// tensor arena must reach a zero-allocation steady state for inference and
+// for training steps.
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "nn/layers.h"
 #include "nn/made.h"
 #include "tensor/ops.h"
+#include "tensor/optimizer.h"
 #include "tensor/tensor.h"
 
 namespace duet::tensor {
@@ -20,6 +26,31 @@ Tensor RandomTensor(std::vector<int64_t> shape, Rng& rng, bool requires_grad) {
     t.data()[i] = rng.UniformFloat() * 2.0f - 1.0f;
   }
   return t;
+}
+
+/// Like RandomTensor, but about `zero_share` of the entries are exact zeros,
+/// in runs long enough to empty whole 4-row quads of the micro-kernel.
+Tensor SparseTensor(std::vector<int64_t> shape, Rng& rng, double zero_share) {
+  Tensor t = Tensor::Zeros(std::move(shape));
+  for (int64_t i = 0; i < t.numel(); i += 4) {
+    const bool zero_run = rng.Bernoulli(zero_share);
+    for (int64_t j = i; j < std::min(i + 4, t.numel()); ++j) {
+      t.data()[j] = zero_run ? 0.0f : rng.UniformFloat() * 2.0f - 1.0f;
+    }
+  }
+  return t;
+}
+
+/// Asserts a and b hold the same bit patterns elementwise.
+void ExpectBitwiseEqual(const std::vector<float>& a, const std::vector<float>& b,
+                        const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (size_t i = 0; i < a.size(); ++i) {
+    uint32_t x = 0, y = 0;
+    std::memcpy(&x, &a[i], sizeof(x));
+    std::memcpy(&y, &b[i], sizeof(y));
+    ASSERT_EQ(x, y) << what << " at index " << i << ": " << a[i] << " vs " << b[i];
+  }
 }
 
 /// Asserts |a - b| <= tol * max(1, |b|) elementwise.
@@ -39,30 +70,78 @@ struct ScalarKernelGuard {
 };
 
 constexpr int64_t kShapes[] = {1, 3, 17, 64, 129};
+// Batch sizes: 300 > the 256-deep k panel, so dW (where the batch is the
+// reduction axis) also crosses a panel boundary.
+constexpr int64_t kBatches[] = {1, 3, 17, 64, 129, 300};
 
 TEST(TiledGemm, ForwardAndBackwardMatchScalarReferenceOnRaggedShapes) {
   Rng rng(11);
-  for (int64_t b : kShapes) {
-    for (int64_t k : kShapes) {
-      for (int64_t o : kShapes) {
-        const Tensor a0 = RandomTensor({b, k}, rng, false);
-        const Tensor w0 = RandomTensor({k, o}, rng, false);
+  for (const double zero_share : {0.0, 0.7}) {
+    for (int64_t b : kBatches) {
+      for (int64_t k : kShapes) {
+        for (int64_t o : kShapes) {
+          const Tensor a0 = SparseTensor({b, k}, rng, zero_share);
+          const Tensor w0 = RandomTensor({k, o}, rng, false);
+          // Loss weights with zeros make the output gradient zero-heavy too.
+          const Tensor r0 = SparseTensor({b, o}, rng, zero_share);
 
-        auto run = [&](bool scalar) {
-          ScalarKernelGuard guard(scalar);
-          Tensor a = a0.Clone();
-          Tensor w = w0.Clone();
-          a.impl()->requires_grad = true;
-          w.impl()->requires_grad = true;
-          Tensor out = MatMul(a, w);
-          SumAll(out).Backward();
-          return std::make_tuple(out.value_vector(), a.grad_vector(), w.grad_vector());
-        };
-        const auto [out_t, ga_t, gw_t] = run(false);
-        const auto [out_s, ga_s, gw_s] = run(true);
-        ExpectAllClose(out_t, out_s, 1e-5f, "forward");
-        ExpectAllClose(ga_t, ga_s, 1e-5f, "dA");
-        ExpectAllClose(gw_t, gw_s, 1e-5f, "dW");
+          auto run = [&](bool scalar) {
+            ScalarKernelGuard guard(scalar);
+            Tensor a = a0.Clone();
+            Tensor w = w0.Clone();
+            a.impl()->requires_grad = true;
+            w.impl()->requires_grad = true;
+            Tensor out = MatMul(a, w);
+            SumAll(Mul(out, r0)).Backward();
+            return std::make_tuple(out.value_vector(), a.grad_vector(), w.grad_vector());
+          };
+          const auto [out_t, ga_t, gw_t] = run(false);
+          const auto [out_s, ga_s, gw_s] = run(true);
+          // Forward and dW: both kernels add k- (resp. m-) ascending and skip
+          // only exact-zero products, so they agree bit for bit.
+          ExpectBitwiseEqual(out_t, out_s, "forward");
+          ExpectBitwiseEqual(gw_t, gw_s, "dW");
+          // dX: the tiled selection sums each dot in four interleaved lanes
+          // (see DxFollowsTheFourLaneOrder), the scalar reference sums it
+          // sequentially, so they agree only to rounding.
+          ExpectAllClose(ga_t, ga_s, 1e-5f, "dA");
+        }
+      }
+    }
+  }
+}
+
+TEST(TiledGemm, DxFollowsTheFourLaneOrder) {
+  // dX[m,n] = dot(G_m, W_n): lane j sums the terms k = j, j+4, ... below
+  // L4 = L & ~3, lane 0 then adds the tail, and the lanes combine as
+  // ((l0 + l1) + l2) + l3. Training's bitwise reproducibility rests on
+  // this order, so it is pinned here against a plain loop (this file is
+  // compiled with -ffp-contract=off, like the kernels).
+  Rng rng(13);
+  for (const double zero_share : {0.0, 0.6}) {
+    for (int64_t b : {1, 5, 70}) {
+      for (int64_t k : {1, 9, 64}) {
+        for (int64_t l : {1, 3, 4, 7, 130}) {
+          Tensor a = RandomTensor({b, k}, rng, true);
+          const Tensor w = RandomTensor({k, l}, rng, false);
+          const Tensor r = SparseTensor({b, l}, rng, zero_share);
+          SumAll(Mul(MatMul(a, w), r)).Backward();
+          const int64_t l4 = l & ~int64_t{3};
+          for (int64_t m = 0; m < b; ++m) {
+            for (int64_t n = 0; n < k; ++n) {
+              float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+              for (int64_t i = 0; i < l4; ++i) {
+                lane[i % 4] += r.data()[m * l + i] * w.data()[n * l + i];
+              }
+              for (int64_t i = l4; i < l; ++i) {
+                lane[0] += r.data()[m * l + i] * w.data()[n * l + i];
+              }
+              const float want = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+              ExpectBitwiseEqual({a.grad_vector()[static_cast<size_t>(m * k + n)]}, {want},
+                                 "dX");
+            }
+          }
+        }
       }
     }
   }
@@ -110,6 +189,42 @@ TEST(TiledGemm, FusedBiasActMatchesComposedOps) {
         ExpectAllClose(gw_f, gw_c, 1e-5f, "fused dW");
         ExpectAllClose(gb_f, gb_c, 1e-5f, "fused db");
       }
+    }
+  }
+}
+
+TEST(FusedMaskedLayer, BitwiseEqualToComposedOps) {
+  // MaskedLinear::Forward (one fused node) against MatMulBiasAct over a
+  // Mul(w, mask) node built from public ops, on the same parameters.
+  Rng rng(29);
+  const std::vector<int32_t> in_deg = nn::MadeInputDegrees({3, 5, 4});
+  const std::vector<int32_t> hid_deg = nn::MadeHiddenDegrees(24, 3);
+  const int64_t in = static_cast<int64_t>(in_deg.size());
+  const int64_t out = static_cast<int64_t>(hid_deg.size());
+  const nn::MaskedLinear layer(in, out, nn::BuildMadeMask(in_deg, hid_deg, false), rng);
+  const Activation acts[] = {Activation::kNone, Activation::kRelu, Activation::kSigmoid,
+                             Activation::kTanh};
+  for (Activation act : acts) {
+    for (int64_t b : {1, 7, 64}) {
+      const Tensor x0 = SparseTensor({b, in}, rng, 0.5);
+      const Tensor r = RandomTensor({b, out}, rng, false);
+      auto run = [&](bool fused) {
+        Tensor x = x0.Clone();
+        x.impl()->requires_grad = true;
+        const Tensor y =
+            fused ? layer.Forward(x, act)
+                  : MatMulBiasAct(x, Mul(layer.weight(), layer.mask()), layer.bias(), act);
+        SumAll(Mul(y, r)).Backward();
+        return std::make_tuple(y.value_vector(), x.grad_vector(),
+                               layer.weight().grad_vector(), layer.bias().grad_vector());
+      };
+      const auto [y_f, gx_f, gw_f, gb_f] = run(true);
+      EXPECT_TRUE(layer.mask().grad_vector().empty()) << "the mask takes no gradient";
+      const auto [y_c, gx_c, gw_c, gb_c] = run(false);
+      ExpectBitwiseEqual(y_f, y_c, "output");
+      ExpectBitwiseEqual(gx_f, gx_c, "dX");
+      ExpectBitwiseEqual(gw_f, gw_c, "dW");
+      ExpectBitwiseEqual(gb_f, gb_c, "db");
     }
   }
 }
@@ -165,20 +280,85 @@ TEST(NoGradScopeTest, ArenaReachesZeroAllocSteadyState) {
   const nn::Made made(SmallMadeOptions(), rng);
   const Tensor x = RandomTensor({8, 21}, rng, false);
 
-  InferenceArena::Clear();
+  TensorArena::Clear();
   {
     NoGradScope scope;
     made.Forward(x);  // warm-up populates the free lists
   }
-  InferenceArena::ResetStats();
+  TensorArena::ResetStats();
   {
     NoGradScope scope;
     for (int pass = 0; pass < 3; ++pass) made.Forward(x);
   }
-  const InferenceArena::Stats stats = InferenceArena::stats();
+  const TensorArena::Stats stats = TensorArena::stats();
   EXPECT_EQ(stats.fresh_allocs, 0u) << "steady-state forward must not heap-allocate";
   EXPECT_GT(stats.reuses, 0u);
-  InferenceArena::Clear();
+  TensorArena::Clear();
+}
+
+TEST(TrainingScopeTest, SteadyStateStepAllocatesNothing) {
+  // A MADE-shaped training step: masked input and output layers, the
+  // per-block log-softmax + NLL loss, backward and an Adam step.
+  Rng rng(107);
+  const std::vector<int64_t> widths = {4, 6, 3};
+  const std::vector<int32_t> in_deg = nn::MadeInputDegrees(widths);
+  const std::vector<int32_t> hid_deg = nn::MadeHiddenDegrees(32, 3);
+  const int64_t in = static_cast<int64_t>(in_deg.size());
+  const nn::MaskedLinear l1(in, 32, nn::BuildMadeMask(in_deg, hid_deg, false), rng);
+  const nn::MaskedLinear l2(32, in, nn::BuildMadeMask(hid_deg, in_deg, true), rng);
+  std::vector<Tensor> params = l1.parameters();
+  for (const Tensor& p : l2.parameters()) params.push_back(p);
+  Adam adam(params, 1e-3f);
+  const std::vector<BlockSpec> blocks = {{0, 4}, {4, 6}, {10, 3}};
+  const int64_t b = 16;
+  const Tensor x0 = SparseTensor({b, in}, rng, 0.5);
+  std::vector<int32_t> targets;
+  for (int64_t i = 0; i < b; ++i) targets.insert(targets.end(), {1, 5, 2});
+
+  TrainingScope scope;
+  auto step = [&] {
+    Tensor x = Tensor::Zeros({b, in});
+    std::copy(x0.data(), x0.data() + x0.numel(), x.data());
+    const Tensor logits = l2.Forward(l1.Forward(x, Activation::kRelu));
+    NllLossBlocks(LogSoftmaxBlocks(logits, blocks), blocks, targets).Backward();
+    adam.Step();
+    // Constants take no gradient buffer, and op results give theirs back
+    // once their own backward has run.
+    EXPECT_TRUE(logits.grad_vector().empty());
+    EXPECT_TRUE(x.grad_vector().empty());
+    EXPECT_TRUE(l1.mask().grad_vector().empty());
+    EXPECT_TRUE(l2.mask().grad_vector().empty());
+  };
+  step();  // warm-up populates the free lists
+  TensorArena::ResetStats();
+  step();
+  const TensorArena::Stats stats = TensorArena::stats();
+  EXPECT_EQ(stats.fresh_allocs, 0u) << "steady-state training step must not heap-allocate";
+  EXPECT_GT(stats.reuses, 0u);
+}
+
+TEST(TrainingScopeTest, ArenaIsFreedWhenTheScopeEnds) {
+  TensorArena::Clear();
+  TensorArena::ResetStats();
+  Tensor outlives;
+  {
+    TrainingScope outer;
+    {
+      TrainingScope inner;  // nested scopes only count; the outer one frees
+      Tensor dies = Tensor::Zeros({1000});
+    }
+    EXPECT_EQ(TensorArena::stats().returns, 1u) << "buffer recycled inside the scope";
+    outlives = Tensor::Zeros({1000});  // reuses the recycled buffer
+    EXPECT_EQ(TensorArena::stats().reuses, 1u);
+  }
+  outlives = Tensor();  // released after the scope: freed, not pooled
+  EXPECT_EQ(TensorArena::stats().returns, 1u);
+  {
+    NoGradScope scope;
+    Tensor t = Tensor::Zeros({1000});
+  }
+  EXPECT_EQ(TensorArena::stats().fresh_allocs, 2u) << "the scope must leave nothing pooled";
+  TensorArena::Clear();
 }
 
 TEST(NoGradScopeTest, PooledBuffersDoNotAliasLiveTensors) {
