@@ -91,6 +91,8 @@ LwNnEstimator::LwNnEstimator(const data::Table& table, LwNnOptions options)
 
 std::vector<double> LwNnEstimator::Train(const query::Workload& workload) {
   DUET_CHECK(!workload.empty());
+  // One arena for every epoch of this call; freed when it returns.
+  tensor::TrainingScope step_buffers;
   const int64_t n = static_cast<int64_t>(workload.size());
   const int64_t width = featurizer_.width();
   std::vector<float> features(static_cast<size_t>(n * width));

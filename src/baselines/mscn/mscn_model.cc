@@ -90,6 +90,8 @@ Tensor MscnModel::ForwardNormalized(const Features& f, int64_t batch) const {
 
 std::vector<double> MscnModel::Train(const query::Workload& workload) {
   DUET_CHECK(!workload.empty());
+  // One arena for every epoch of this call; freed when it returns.
+  tensor::TrainingScope step_buffers;
   tensor::Adam opt(parameters(), options_.learning_rate);
   Rng rng(options_.seed ^ 0x5eedULL);
   const int64_t rows = table_.num_rows();

@@ -268,6 +268,8 @@ core::EpochStats NaruTrainer::TrainEpoch(int epoch_index) {
   const data::Table& table = model_.table();
   const int64_t rows = table.num_rows();
   const int64_t bs = std::min<int64_t>(options_.batch_size, rows);
+  // Activation and gradient buffers recycle across this epoch's steps.
+  tensor::TrainingScope step_buffers;
   Timer timer;
   std::vector<uint32_t> perm = rng_.Permutation(static_cast<uint32_t>(rows));
   core::EpochStats stats;
@@ -295,6 +297,8 @@ core::EpochStats NaruTrainer::TrainEpoch(int epoch_index) {
 
 std::vector<core::EpochStats> NaruTrainer::Train(
     const std::function<void(const core::EpochStats&)>& on_epoch) {
+  // One arena for every epoch of this call; freed when it returns.
+  tensor::TrainingScope step_buffers;
   std::vector<core::EpochStats> history;
   for (int e = 0; e < options_.epochs; ++e) {
     history.push_back(TrainEpoch(e));

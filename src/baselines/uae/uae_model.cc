@@ -114,6 +114,8 @@ core::EpochStats UaeTrainer::TrainEpoch(int epoch_index) {
   const int64_t rows = table.num_rows();
   const int64_t bs = std::min<int64_t>(options_.batch_size, rows);
   const bool hybrid = options_.train_workload != nullptr;
+  // Activation and gradient buffers recycle across this epoch's steps.
+  tensor::TrainingScope step_buffers;
 
   core::EpochStats stats;
   stats.epoch = epoch_index;
@@ -186,6 +188,8 @@ core::EpochStats UaeTrainer::TrainEpoch(int epoch_index) {
 
 std::vector<core::EpochStats> UaeTrainer::Train(
     const std::function<void(const core::EpochStats&)>& on_epoch) {
+  // One arena for every epoch of this call; freed when it returns.
+  tensor::TrainingScope step_buffers;
   std::vector<core::EpochStats> history;
   for (int e = 0; e < options_.epochs; ++e) {
     history.push_back(TrainEpoch(e));

@@ -147,6 +147,8 @@ EpochStats MpsnTrainer::TrainEpoch(int epoch_index) {
   const bool hybrid = options_.train_workload != nullptr && options_.lambda > 0.0f;
   const int slots = model_.options().mpsn.max_preds;
 
+  // Activation and gradient buffers recycle across this epoch's steps.
+  tensor::TrainingScope step_buffers;
   Timer timer;
   std::vector<uint32_t> perm = rng_.Permutation(static_cast<uint32_t>(rows));
   EpochStats stats;
@@ -210,6 +212,8 @@ EpochStats MpsnTrainer::TrainEpoch(int epoch_index) {
 
 std::vector<EpochStats> MpsnTrainer::Train(
     const std::function<void(const EpochStats&)>& on_epoch) {
+  // One arena for every epoch of this call; freed when it returns.
+  tensor::TrainingScope step_buffers;
   std::vector<EpochStats> history;
   for (int e = 0; e < options_.epochs; ++e) {
     history.push_back(TrainEpoch(e));

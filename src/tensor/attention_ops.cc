@@ -74,21 +74,17 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta, float
     TensorImpl* bi = beta.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, gi, bi, oi, rows, cols, mean, inv_std]() {
-      xi->EnsureGrad();
-      gi->EnsureGrad();
-      bi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* xv = xi->value.data();
       const float* gv = gi->value.data();
-      float* gx = xi->grad.data();
-      float* gg = gi->grad.data();
-      float* gb = bi->grad.data();
+      float* gx = xi->MutableGrad();
+      float* gg = gi->MutableGrad();
+      float* gb = bi->MutableGrad();
       for (int64_t r = 0; r < rows; ++r) {
         const float mu = (*mean)[static_cast<size_t>(r)];
         const float istd = (*inv_std)[static_cast<size_t>(r)];
         const float* grow = g + r * cols;
         const float* xrow = xv + r * cols;
-        float* gxrow = gx + r * cols;
         // dxhat = g * gamma; reduce the two row sums the jacobian needs.
         float sum_dxhat = 0.0f;
         float sum_dxhat_xhat = 0.0f;
@@ -97,9 +93,11 @@ Tensor LayerNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta, float
           const float dxhat = grow[c] * gv[c];
           sum_dxhat += dxhat;
           sum_dxhat_xhat += dxhat * xhat;
-          gg[c] += grow[c] * xhat;
-          gb[c] += grow[c];
+          if (gg != nullptr) gg[c] += grow[c] * xhat;
+          if (gb != nullptr) gb[c] += grow[c];
         }
+        if (gx == nullptr) continue;
+        float* gxrow = gx + r * cols;
         const float inv_n = 1.0f / static_cast<float>(cols);
         for (int64_t c = 0; c < cols; ++c) {
           const float xhat = (xrow[c] - mu) * istd;
@@ -129,10 +127,9 @@ Tensor Gelu(const Tensor& x) {
     TensorImpl* xi = x.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, n]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* xv = xi->value.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) {
         const float v = xv[i];
         const float u = kC * (v + kA * v * v * v);
@@ -168,9 +165,8 @@ Tensor SplitHeads(const Tensor& x, int64_t batch, int64_t n, int64_t heads) {
     TensorImpl* xi = x.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, batch, n, heads, d, dh]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t b = 0; b < batch; ++b) {
         for (int64_t h = 0; h < heads; ++h) {
           for (int64_t t = 0; t < n; ++t) {
@@ -207,9 +203,8 @@ Tensor MergeHeads(const Tensor& x, int64_t batch, int64_t n, int64_t heads) {
     TensorImpl* xi = x.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, batch, n, heads, d, dh]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t b = 0; b < batch; ++b) {
         for (int64_t h = 0; h < heads; ++h) {
           for (int64_t t = 0; t < n; ++t) {
@@ -261,30 +256,28 @@ Tensor BatchedScores(const Tensor& q, const Tensor& k, int64_t batch, int64_t n,
     TensorImpl* ki_ = k.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [qi_, ki_, oi, batch, n, d, scale]() {
-      qi_->EnsureGrad();
-      ki_->EnsureGrad();
       const float* g = oi->grad.data();
       const float* qv = qi_->value.data();
       const float* kv = ki_->value.data();
-      float* gq = qi_->grad.data();
-      float* gk = ki_->grad.data();
+      float* gq = qi_->MutableGrad();
+      float* gk = ki_->MutableGrad();
       for (int64_t b = 0; b < batch; ++b) {
         const float* gb = g + b * n * n;
         const float* qb = qv + b * n * d;
         const float* kb = kv + b * n * d;
-        float* gqb = gq + b * n * d;
-        float* gkb = gk + b * n * d;
         for (int64_t i = 0; i < n; ++i) {
           for (int64_t j = 0; j < n; ++j) {
             const float gij = scale * gb[i * n + j];
             if (gij == 0.0f) continue;
-            const float* kj = kb + j * d;
-            const float* qi = qb + i * d;
-            float* gqi = gqb + i * d;
-            float* gkj = gkb + j * d;
-            for (int64_t c = 0; c < d; ++c) {
-              gqi[c] += gij * kj[c];
-              gkj[c] += gij * qi[c];
+            if (gq != nullptr) {
+              const float* kj = kb + j * d;
+              float* gqi = gq + (b * n + i) * d;
+              for (int64_t c = 0; c < d; ++c) gqi[c] += gij * kj[c];
+            }
+            if (gk != nullptr) {
+              const float* qi = qb + i * d;
+              float* gkj = gk + (b * n + j) * d;
+              for (int64_t c = 0; c < d; ++c) gkj[c] += gij * qi[c];
             }
           }
         }
@@ -328,10 +321,9 @@ Tensor CausalSoftmaxRows(const Tensor& scores, int64_t n) {
     TensorImpl* si = scores.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [si, oi, rows, n]() {
-      si->EnsureGrad();
       const float* g = oi->grad.data();
       const float* y = oi->value.data();
-      float* gs = si->grad.data();
+      float* gs = si->MutableGrad();
       for (int64_t r = 0; r < rows; ++r) {
         const int64_t t = r % n;
         const float* grow = g + r * n;
@@ -382,29 +374,27 @@ Tensor BatchedAttend(const Tensor& attn, const Tensor& v, int64_t batch, int64_t
     TensorImpl* vi = v.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [ai, vi, oi, batch, n, d]() {
-      ai->EnsureGrad();
-      vi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* av = ai->value.data();
       const float* vv = vi->value.data();
-      float* ga = ai->grad.data();
-      float* gv = vi->grad.data();
+      float* ga = ai->MutableGrad();
+      float* gv = vi->MutableGrad();
       for (int64_t b = 0; b < batch; ++b) {
         const float* gb = g + b * n * d;
         const float* ab = av + b * n * n;
         const float* vb = vv + b * n * d;
-        float* gab = ga + b * n * n;
-        float* gvb = gv + b * n * d;
         for (int64_t i = 0; i < n; ++i) {
           const float* grow = gb + i * d;
           for (int64_t j = 0; j < n; ++j) {
-            const float* vrow = vb + j * d;
-            float acc = 0.0f;
-            for (int64_t c = 0; c < d; ++c) acc += grow[c] * vrow[c];
-            gab[i * n + j] += acc;
+            if (ga != nullptr) {
+              const float* vrow = vb + j * d;
+              float acc = 0.0f;
+              for (int64_t c = 0; c < d; ++c) acc += grow[c] * vrow[c];
+              ga[(b * n + i) * n + j] += acc;
+            }
             const float w = ab[i * n + j];
-            if (w == 0.0f) continue;
-            float* gvrow = gvb + j * d;
+            if (gv == nullptr || w == 0.0f) continue;
+            float* gvrow = gv + (b * n + j) * d;
             for (int64_t c = 0; c < d; ++c) gvrow[c] += w * grow[c];
           }
         }
@@ -437,18 +427,18 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& table) {
     TensorImpl* ti = table.impl().get();
     TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, ti, oi, rows, n, d]() {
-      xi->EnsureGrad();
-      ti->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
-      float* gt = ti->grad.data();
+      float* gx = xi->MutableGrad();
+      float* gt = ti->MutableGrad();
       for (int64_t r = 0; r < rows; ++r) {
-        float* gtrow = gt + (r % n) * d;
         const float* grow = g + r * d;
-        float* gxrow = gx + r * d;
-        for (int64_t c = 0; c < d; ++c) {
-          gxrow[c] += grow[c];
-          gtrow[c] += grow[c];
+        if (gx != nullptr) {
+          float* gxrow = gx + r * d;
+          for (int64_t c = 0; c < d; ++c) gxrow[c] += grow[c];
+        }
+        if (gt != nullptr) {
+          float* gtrow = gt + (r % n) * d;
+          for (int64_t c = 0; c < d; ++c) gtrow[c] += grow[c];
         }
       }
     };

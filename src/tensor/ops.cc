@@ -47,14 +47,6 @@ Tensor Scratch(int64_t n, bool zeroed) {
   return Tensor(std::move(impl));
 }
 
-/// The gradient buffer of a parent that takes one, else nullptr: constants
-/// (inputs, masks) get no gradient (see Tensor::Backward).
-float* GradOf(TensorImpl* t) {
-  if (!t->requires_grad) return nullptr;
-  t->EnsureGrad();
-  return t->grad.data();
-}
-
 /// Row count for a [B, D] style tensor (1-D tensors are treated as B=1).
 int64_t Rows(const Tensor& t) { return t.ndim() == 1 ? 1 : t.dim(0); }
 int64_t Cols(const Tensor& t) { return t.ndim() == 1 ? t.dim(0) : t.dim(1); }
@@ -196,15 +188,17 @@ inline void GemmAccum(const float* A, const float* B, float* C, int64_t M, int64
 /// axis; A:[M,L], B:[N,L], C:[M,N]. This is dX += dY x W^T with W:[N,L].
 ///
 /// The reduction order is the one the original `omp simd reduction` dot
-/// loop compiled to on the x86-64 baseline (SSE2): four lane sums, lane j
-/// adding the terms k = j, j+4, ... below L4 = L & ~3 in ascending order,
-/// lane 0 then adding the tail k = L4..L-1, and the lanes combined as
-/// ((l0 + l1) + l2) + l3 before the dot is added to C. Each lane is a
-/// k-ascending sum, i.e. a GEMM over that lane's columns, so the lanes run
-/// through GemmTiled on de-interleaved copies of A and B^T (skipping exact
-/// zeros, which never changes the sum) and trained parameters stay bitwise
-/// what that loop produced. The order is spelled out here rather than left
-/// to the vectorizer. Each task owns a band of C rows.
+/// loop compiled to in the portable x86-64 build with OpenMP (SSE2): four
+/// lane sums, lane j adding the terms k = j, j+4, ... below L4 = L & ~3 in
+/// ascending order, lane 0 then adding the tail k = L4..L-1, and the lanes
+/// combined as ((l0 + l1) + l2) + l3 before the dot is added to C. It is
+/// spelled out here rather than left to the vectorizer, so every build sums
+/// in this order. Each lane is a k-ascending sum, i.e. a GEMM over that
+/// lane's columns, so the lanes run through GemmTiled on de-interleaved
+/// copies of A and B^T (skipping exact zeros, which never changes the sum)
+/// and trained parameters stay bitwise what that loop produced; this beats
+/// a dot loop with four explicit accumulators, the same bits, by about a
+/// quarter of the training CPU. Each task owns a band of C rows.
 void GemmDotAccum(const float* A, const float* B, float* C, int64_t M, int64_t N, int64_t L,
                   bool parallel) {
   constexpr int64_t kLanes = 4;
@@ -367,9 +361,9 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
       const float* gout = oi->grad.data();
       const bool par = GemmParallel(b, i_dim, o);
       // dA[r,k] = sum_c gout[r,c] * W[k,c]
-      if (float* ga = GradOf(ai)) GemmDot(gout, wi->value.data(), ga, b, i_dim, o, par);
+      if (float* ga = ai->MutableGrad()) GemmDot(gout, wi->value.data(), ga, b, i_dim, o, par);
       // dW[k,c] = sum_r A[r,k] * gout[r,c]
-      if (float* gw = GradOf(wi)) GemmAtBAccum(ai->value.data(), gout, gw, b, i_dim, o, par);
+      if (float* gw = wi->MutableGrad()) GemmAtBAccum(ai->value.data(), gout, gw, b, i_dim, o, par);
     };
   }
   return out;
@@ -438,8 +432,8 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Te
         gp = t;
       }
       const bool par = GemmParallel(b, i_dim, o);
-      if (float* ga = GradOf(ai)) GemmDot(gp, ei->value.data(), ga, b, i_dim, o, par);
-      if (float* gw = GradOf(wi)) {
+      if (float* ga = ai->MutableGrad()) GemmDot(gp, ei->value.data(), ga, b, i_dim, o, par);
+      if (float* gw = wi->MutableGrad()) {
         if (mi == nullptr) {
           GemmAtBAccum(ai->value.data(), gp, gw, b, i_dim, o, par);
         } else {
@@ -454,7 +448,7 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Te
           for (int64_t i = 0; i < i_dim * o; ++i) gw[i] += d[i] * m[i];
         }
       }
-      if (float* gb = GradOf(bi)) {
+      if (float* gb = bi->MutableGrad()) {
         for (int64_t r = 0; r < b; ++r) {
           const float* grow = gp + r * o;
           for (int64_t c = 0; c < o; ++c) gb[c] += grow[c];
@@ -493,10 +487,10 @@ Tensor AddBias(const Tensor& x, const Tensor& bias) {
     TensorImpl* xi = x.impl().get(); TensorImpl* bi = bias.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, bi, oi, b, o]() {
       const float* g = oi->grad.data();
-      if (float* gx = GradOf(xi)) {
+      if (float* gx = xi->MutableGrad()) {
         for (int64_t i = 0; i < b * o; ++i) gx[i] += g[i];
       }
-      if (float* gb = GradOf(bi)) {
+      if (float* gb = bi->MutableGrad()) {
         for (int64_t r = 0; r < b; ++r) {
           for (int64_t c = 0; c < o; ++c) gb[c] += g[r * o + c];
         }
@@ -524,8 +518,8 @@ Tensor BinaryElementwise(const Tensor& a, const Tensor& b, Fwd fwd, Bwd bwd) {
       const float* g = oi->grad.data();
       const float* av = ai->value.data();
       const float* bv = bi->value.data();
-      float* ga = GradOf(ai);
-      float* gb = GradOf(bi);
+      float* ga = ai->MutableGrad();
+      float* gb = bi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) {
         const auto [da, db] = bwd(av[i], bv[i]);
         if (ga != nullptr) ga[i] += g[i] * da;
@@ -547,11 +541,10 @@ Tensor UnaryElementwise(const Tensor& x, Fwd fwd, Bwd bwd) {
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, n, bwd]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* xv = xi->value.data();
       const float* ov = oi->value.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) gx[i] += g[i] * bwd(xv[i], ov[i]);
     };
   }
@@ -664,7 +657,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
       int64_t off = 0;
       for (size_t k = 0; k < impls.size(); ++k) {
         const int64_t w = widths[k];
-        if (float* gp = GradOf(impls[k].get())) {
+        if (float* gp = impls[k]->MutableGrad()) {
           for (int64_t r = 0; r < b; ++r) {
             for (int64_t c = 0; c < w; ++c) gp[r * w + c] += g[r * total + off + c];
           }
@@ -704,7 +697,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
       int64_t row = 0;
       for (const auto& im : impls) {
         const int64_t r = im->shape.size() == 1 ? 1 : im->shape[0];
-        if (float* gp = GradOf(im.get())) {
+        if (float* gp = im->MutableGrad()) {
           for (int64_t i = 0; i < r * h; ++i) gp[i] += g[row * h + i];
         }
         row += r;
@@ -729,9 +722,8 @@ Tensor SliceCols(const Tensor& x, int64_t start, int64_t len) {
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, b, d, start, len]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (int64_t c = 0; c < len; ++c) gx[r * d + start + c] += g[r * len + c];
       }
@@ -758,9 +750,8 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int32_t>& idx) {
     TensorImpl* wi = weight.impl().get(); TensorImpl* oi = out.impl().get();
     std::vector<int32_t> idx_copy = idx;
     out.impl()->backward = [wi, oi, idx_copy, e]() {
-      wi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gw = wi->grad.data();
+      float* gw = wi->MutableGrad();
       for (size_t r = 0; r < idx_copy.size(); ++r) {
         float* dst = gw + static_cast<int64_t>(idx_copy[r]) * e;
         const float* src = g + static_cast<int64_t>(r) * e;
@@ -797,10 +788,9 @@ Tensor SoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     std::vector<BlockSpec> blks = blocks;
     out.impl()->backward = [xi, oi, blks, b, d]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* y = oi->value.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (const BlockSpec& blk : blks) {
           const float* gs = g + r * d + blk.offset;
@@ -839,10 +829,9 @@ Tensor LogSoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     std::vector<BlockSpec> blks = blocks;
     out.impl()->backward = [xi, oi, blks, b, d]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* ly = oi->value.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (const BlockSpec& blk : blks) {
           const float* gs = g + r * d + blk.offset;
@@ -887,9 +876,8 @@ Tensor NllLossBlocks(const Tensor& logp, const std::vector<BlockSpec>& blocks,
     std::vector<BlockSpec> blks = blocks;
     std::vector<int32_t> tgt = targets;
     out.impl()->backward = [li, oi, blks, tgt, b, d, n]() {
-      li->EnsureGrad();
       const float g = oi->grad[0] / static_cast<float>(b);
-      float* gl = li->grad.data();
+      float* gl = li->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (int64_t k = 0; k < n; ++k) {
           const int32_t t = tgt[static_cast<size_t>(r * n + k)];
@@ -926,10 +914,9 @@ Tensor MaskedSumBlocks(const Tensor& p, const Tensor& mask,
     TensorImpl* pi = p.impl().get(); TensorImpl* mi = mask.impl().get(); TensorImpl* oi = out.impl().get();
     std::vector<BlockSpec> blks = blocks;
     out.impl()->backward = [pi, mi, oi, blks, b, d, n]() {
-      pi->EnsureGrad();
       const float* g = oi->grad.data();
       const float* mp = mi->value.data();
-      float* gp = pi->grad.data();
+      float* gp = pi->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (int64_t k = 0; k < n; ++k) {
           const BlockSpec& blk = blks[static_cast<size_t>(k)];
@@ -959,9 +946,8 @@ Tensor SumCols(const Tensor& x) {
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, b, n]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (int64_t c = 0; c < n; ++c) gx[r * n + c] += g[r];
       }
@@ -981,9 +967,8 @@ Tensor MeanAll(const Tensor& x) {
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, n]() {
-      xi->EnsureGrad();
       const float g = oi->grad[0] / static_cast<float>(n);
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) gx[i] += g;
     };
   }
@@ -1001,9 +986,8 @@ Tensor SumAll(const Tensor& x) {
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, n]() {
-      xi->EnsureGrad();
       const float g = oi->grad[0];
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) gx[i] += g;
     };
   }
@@ -1025,8 +1009,8 @@ Tensor Select(const std::vector<float>& cond, const Tensor& a, const Tensor& b) 
     std::vector<float> c = cond;
     out.impl()->backward = [ai, bi, oi, c, n]() {
       const float* g = oi->grad.data();
-      float* ga = GradOf(ai);
-      float* gb = GradOf(bi);
+      float* ga = ai->MutableGrad();
+      float* gb = bi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) {
         float* dst = c[static_cast<size_t>(i)] != 0.0f ? ga : gb;
         if (dst != nullptr) dst[i] += g[i];
@@ -1067,9 +1051,8 @@ Tensor MeanPoolSegments(const Tensor& x, const std::vector<float>& mask, int64_t
     std::vector<float> m = mask;
     std::vector<float> cnts = counts;
     out.impl()->backward = [xi, oi, m, cnts, batch, set_size, h]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t bi = 0; bi < batch; ++bi) {
         const float cnt = cnts[static_cast<size_t>(bi)];
         if (cnt == 0.0f) continue;
@@ -1096,9 +1079,8 @@ Tensor Reshape(const Tensor& x, std::vector<int64_t> shape) {
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [xi, oi, n]() {
-      xi->EnsureGrad();
       const float* g = oi->grad.data();
-      float* gx = xi->grad.data();
+      float* gx = xi->MutableGrad();
       for (int64_t i = 0; i < n; ++i) gx[i] += g[i];
     };
   }
@@ -1140,7 +1122,7 @@ Tensor BlockDiagMatMul(const Tensor& x, const Tensor& w, int64_t num_blocks, int
       const float* g = oi->grad.data();
       const float* wp = wi->value.data();
       const float* xp = xi->value.data();
-      if (float* gx = GradOf(xi)) {
+      if (float* gx = xi->MutableGrad()) {
         for (int64_t r = 0; r < b; ++r) {
           for (int64_t k = 0; k < num_blocks; ++k) {
             const float* gs = g + r * num_blocks * out + k * out;
@@ -1155,7 +1137,7 @@ Tensor BlockDiagMatMul(const Tensor& x, const Tensor& w, int64_t num_blocks, int
           }
         }
       }
-      if (float* gw = GradOf(wi)) {
+      if (float* gw = wi->MutableGrad()) {
         for (int64_t r = 0; r < b; ++r) {
           for (int64_t k = 0; k < num_blocks; ++k) {
             const float* xs = xp + r * num_blocks * in + k * in;

@@ -266,7 +266,7 @@ void Tensor::Backward() {
     }
   }
   // Leaves start from zeros; op results start empty and get a zeroed
-  // buffer from their first consumer (GradOf / EnsureGrad in ops.cc). Then
+  // buffer from their first consumer (TensorImpl::MutableGrad). Then
   // seed the root with 1s.
   for (TensorImpl* node : order) {
     if (node->backward) {

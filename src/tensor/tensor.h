@@ -77,6 +77,15 @@ struct TensorImpl {
   void EnsureGrad() {
     if (grad.size() != value.size()) ResetGrad();
   }
+  /// The gradient buffer a backward closure adds into, or nullptr for a
+  /// node that takes no gradient: constants (an input batch, a mask) never
+  /// get one (see Tensor::Backward). Every op reaches its parents'
+  /// gradients through this.
+  float* MutableGrad() {
+    if (!requires_grad) return nullptr;
+    EnsureGrad();
+    return grad.data();
+  }
 };
 
 /// Thread-local buffer pool behind the two allocation scopes below. Buffers

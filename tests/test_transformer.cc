@@ -4,6 +4,7 @@
 // input blocks >= i) and a small end-to-end Duet training run on the
 // Transformer backbone.
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -262,6 +263,45 @@ TEST(AttentionGradTest, AddRowBroadcastBothSides) {
   };
   ExpectGradMatchesNumeric(x, loss);
   ExpectGradMatchesNumeric(t, loss);
+}
+
+// A constant operand of a two-sided op gets no gradient buffer, and the
+// tracked operand's gradient is bitwise what it is when both are tracked.
+TEST(AttentionGradTest, ConstantOperandTakesNoGradient) {
+  const int64_t b = 2, n = 3, d = 4;
+  struct Case {
+    const char* name;
+    std::vector<int64_t> lhs, rhs;
+    std::function<Tensor(const Tensor&, const Tensor&)> op;
+  };
+  const Tensor beta = RandomTensor({d}, 40, false);
+  const std::vector<Case> cases = {
+      {"BatchedScores", {b * n, d}, {b * n, d},
+       [&](const Tensor& q, const Tensor& k) { return tensor::BatchedScores(q, k, b, n, 0.5f); }},
+      {"BatchedAttend", {b * n, n}, {b * n, d},
+       [&](const Tensor& a, const Tensor& v) { return tensor::BatchedAttend(a, v, b, n); }},
+      {"AddRowBroadcast", {b * n, d}, {n, d},
+       [](const Tensor& x, const Tensor& t) { return tensor::AddRowBroadcast(x, t); }},
+      {"LayerNorm", {b * n, d}, {d},
+       [&](const Tensor& x, const Tensor& g) { return tensor::LayerNorm(x, g, beta); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto grads = [&](bool track_lhs, bool track_rhs) {
+      Tensor lhs = RandomTensor(c.lhs, 41, track_lhs);
+      Tensor rhs = RandomTensor(c.rhs, 42, track_rhs);
+      Tensor o = c.op(lhs, rhs);
+      tensor::MeanAll(tensor::Mul(o, o)).Backward();
+      return std::make_pair(lhs.grad_vector(), rhs.grad_vector());
+    };
+    const auto both = grads(true, true);
+    const auto lhs_only = grads(true, false);
+    const auto rhs_only = grads(false, true);
+    EXPECT_TRUE(lhs_only.second.empty());
+    EXPECT_TRUE(rhs_only.first.empty());
+    EXPECT_EQ(lhs_only.first, both.first);
+    EXPECT_EQ(rhs_only.second, both.second);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,18 +2,19 @@
 """Benchmark trajectory: records perfbench medians and spreads per commit,
 and compares two records against BENCHMARK.json's bounds.
 
-    python3 tools/bench_trajectory.py run --pr <n> [--runs 5] [--seconds 20]
+    python3 tools/bench_trajectory.py run --pr <n>
     python3 tools/bench_trajectory.py compare BENCH_<a>.json BENCH_<b>.json
 
 Run from the repository root of the checkout to measure. `run` calls
-`perfbench/run.py` for every workload in BENCHMARK.json `--runs` times
-untraced (seeds 1..runs) and `--traced-runs` times traced, then writes
-BENCH_<n>.json: per workload, each end-to-end metric's median, quartiles,
+`perfbench/run.py` for every workload in BENCHMARK.json five times
+untraced (seeds 1..5) and once traced, each run BENCHMARK.json's
+`run_seconds` long, then writes BENCH_<n>.json: per workload, each end-to-end metric's median, quartiles,
 IQR and every run's value, the per-layer medians of the traced runs, the
 attempted/failed counts and perfbench's `provenance:` line of every run.
 A run that fails its correctness checks aborts the record.
 
-`compare` reads two records (base first) and, per workload and end-to-end
+`compare` reads two records (base first), refuses a pair recorded with
+different run counts or run lengths, and, per workload and end-to-end
 metric, reports the relative move of the median in the metric's worse
 direction. A move is flagged when it lies outside both the base's recorded
 spread (its IQR) and the metric's BENCHMARK.json bound; a flagged
@@ -28,6 +29,8 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = 5  # untraced runs per workload: the spread needs at least five
+TRACED_RUNS = 1  # the per-layer medians come from these
 
 
 def load_spec():
@@ -75,22 +78,23 @@ def summarize(samples):
 
 def cmd_run(args):
     spec = load_spec()
-    record = {"pr": args.pr, "runs": args.runs, "traced_runs": args.traced_runs,
-              "seconds": args.seconds, "workloads": {}}
+    seconds = spec["run_seconds"]
+    record = {"pr": args.pr, "runs": RUNS, "traced_runs": TRACED_RUNS, "seconds": seconds,
+              "workloads": {}}
     for wl in spec["workloads"]:
         name = wl["name"]
         e2e, per_layer, provenance, attempted, failed = [], [], [], [], []
-        for i in range(args.runs):
-            result, prov = run_once(name, i + 1, args.seconds, trace=False)
+        for i in range(RUNS):
+            result, prov = run_once(name, i + 1, seconds, trace=False)
             e2e.append(result["metrics"])
             attempted.append(result["attempted"])
             failed.append(result["failed"])
             provenance.append(prov)
-            print(f"{name} run {i + 1}/{args.runs}: " +
+            print(f"{name} run {i + 1}/{RUNS}: " +
                   " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
                   flush=True)
-        for i in range(args.traced_runs):
-            result, _ = run_once(name, i + 1, args.seconds, trace=True)
+        for i in range(TRACED_RUNS):
+            result, _ = run_once(name, i + 1, seconds, trace=True)
             per_layer.append(result["metrics"])
         entry = {"provenance": provenance, "attempted": attempted, "failed": failed,
                  "end_to_end": summarize(e2e)}
@@ -111,6 +115,9 @@ def cmd_compare(args):
         base = json.load(f)
     with open(args.new) as f:
         new = json.load(f)
+    for key in ("runs", "seconds"):
+        if base.get(key) != new.get(key):
+            raise SystemExit(f"records differ in {key}: {base.get(key)} vs {new.get(key)}")
     regressions = 0
     print(f"{'workload':<12} {'metric':<12} {'base':>10} {'new':>10} {'worse by':>9} "
           f"{'spread':>7} {'bound':>6}  verdict")
@@ -145,19 +152,11 @@ def main():
     sub = parser.add_subparsers(dest="mode", required=True)
     run = sub.add_parser("run", help="measure this checkout and write BENCH_<pr>.json")
     run.add_argument("--pr", type=int, required=True)
-    run.add_argument("--runs", type=int, default=5)
-    run.add_argument("--traced-runs", type=int, default=1)
-    run.add_argument("--seconds", type=float, default=None,
-                     help="run length (default: BENCHMARK.json run_seconds)")
     cmp_ = sub.add_parser("compare", help="compare two records, base first")
     cmp_.add_argument("base")
     cmp_.add_argument("new")
     args = parser.parse_args()
     if args.mode == "run":
-        if args.runs < 5:
-            parser.error("--runs must be at least 5")
-        if args.seconds is None:
-            args.seconds = load_spec()["run_seconds"]
         cmd_run(args)
         return 0
     return cmd_compare(args)
