@@ -22,12 +22,20 @@ bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
   return false;
 }
 
-Tensor MakeResult(std::vector<int64_t> shape, bool track,
-                  std::vector<Impl> parents) {
+/// An op's output node. `zeroed` is for ops that accumulate into it; an op
+/// that writes every element passes false and, inside a TrainingScope or a
+/// NoGradScope, gets a recycled buffer without the fill.
+Tensor MakeResult(std::vector<int64_t> shape, bool track, std::vector<Impl> parents,
+                  bool zeroed) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
   impl->requires_grad = track;
-  impl->AllocValue(static_cast<size_t>(impl->numel()), 0.0f);
+  const size_t n = static_cast<size_t>(impl->numel());
+  if (zeroed) {
+    impl->AllocValue(n, 0.0f);
+  } else if (!impl->AcquirePooled(n)) {
+    impl->value.resize(n);
+  }
   if (track) impl->parents = std::move(parents);
   return Tensor(std::move(impl));
 }
@@ -51,14 +59,40 @@ Tensor Scratch(int64_t n, bool zeroed) {
 int64_t Rows(const Tensor& t) { return t.ndim() == 1 ? 1 : t.dim(0); }
 int64_t Cols(const Tensor& t) { return t.ndim() == 1 ? t.dim(0) : t.dim(1); }
 
+/// The block softmax ops write only inside their blocks, so they may skip
+/// the output's zero fill only because the blocks tile each row: ascending,
+/// contiguous and covering [0, d).
+void CheckBlocksTile(const std::vector<BlockSpec>& blocks, int64_t d) {
+  int64_t next = 0;
+  for (const BlockSpec& blk : blocks) {
+    DUET_CHECK_EQ(blk.offset, next);
+    DUET_CHECK_GT(blk.len, 0);
+    next += blk.len;
+  }
+  DUET_CHECK_EQ(next, d);
+}
+
 // ----- GEMM kernels --------------------------------------------------------
 //
-// C += A x B with A:[M,K], B:[K,N], C:[M,N], all dense row-major. The tiled
-// kernel splits C into kMc x kNc task blocks (2-D parallel split), walks K in
-// kKc panels so the B panel and C block stay cache-resident, and bottoms out
-// in a 4x16 register-blocked micro-kernel. For every C element the
-// accumulation order is k-ascending regardless of tile placement, so results
-// do not depend on the batch size or thread count.
+// C += A x B with B:[K,N] and C:[M,N] dense row-major, and A:[M,K] a strided
+// view: element (r, k) is A[r * rs + k * cs]. The forward reads A row-major
+// (rs = K, cs = 1), dW reads its activations transposed (rs = 1, cs = their
+// row length) and dX reads each lane of the output gradient with k-stride 4,
+// all in place.
+// The tiled kernel splits C into kMc x kNc task blocks (2-D parallel split),
+// walks K in kKc panels so the B panel and C block stay cache-resident, and
+// bottoms out in a branch-free 4x16 register-blocked micro-kernel. For every
+// C element the accumulation order is k-ascending regardless of tile
+// placement, so results do not depend on the batch size or thread count.
+//
+// Zero-skip. A product with an exact-zero A element is +-0.0f, and adding
+// it to a finite accumulator that is never -0.0 (C starts at +0, and IEEE
+// sums of finite terms cannot produce -0) leaves it bitwise unchanged. So
+// terms may be left out or kept at will: for each row quad and k panel,
+// GemmTiled lists once the k where any of the quad's four rows is nonzero,
+// and every column tile of the quad walks that list when it is short enough
+// to pay, or the whole panel otherwise. The skip is exact only for finite
+// B: a kept zero times an infinite or NaN B element is NaN.
 
 std::atomic<bool> g_use_scalar_kernels{false};
 
@@ -67,6 +101,13 @@ constexpr int64_t kNr = 16;   // micro-kernel cols
 constexpr int64_t kKc = 256;  // k-panel depth
 constexpr int64_t kMc = 64;   // task block rows
 constexpr int64_t kNc = 256;  // task block cols
+// A quad walks its list of nonzero k when at most this share of the panel
+// is on it, and the whole panel otherwise: a listed k costs an index load
+// more than a contiguous one, and building the list costs a scan. The
+// decision is first made on kProbes sampled k, so a dense quad skips the
+// scan (CHANGES.md records the measurements behind both constants).
+constexpr int64_t kSparseNum = 3, kSparseDen = 4;
+constexpr int64_t kProbes = 16;
 
 /// Work threshold above which GEMM-shaped loops go to the thread pool.
 inline bool GemmParallel(int64_t m, int64_t k, int64_t n) {
@@ -74,39 +115,60 @@ inline bool GemmParallel(int64_t m, int64_t k, int64_t n) {
 }
 
 // The 4x16 micro-tile body lives in simd_kernels.inc (compiled per ISA
-// tier; the all-zero-quad skip and k-ascending order are documented there)
-// and is reached through the runtime dispatch table, as is the fp32 axpy
-// that the ragged-edge tail and the zero-skip GEMV bottom out in.
+// tier) and is reached through the runtime dispatch table, as is the fp32
+// axpy that the ragged-edge tail and the zero-skip GEMV bottom out in.
 
-/// Ragged-edge tile (mr < 4 or nr < 16) over one k panel; same k order.
-inline void MicroTail(const simd::KernelTable& kt, const float* a, int64_t lda,
+/// Whether any of the quad's four rows is nonzero at the k that ak points to.
+inline bool QuadOn(const float* ak, int64_t rs) {
+  return (ak[0] != 0.0f) | (ak[rs] != 0.0f) | (ak[2 * rs] != 0.0f) | (ak[3 * rs] != 0.0f);
+}
+
+/// The k a row quad walks in one panel. A quad that looks dense on a sample
+/// of kProbes evenly spaced k returns kc (walk the whole panel) without a
+/// full scan. Otherwise ks gets, ascending, every k where the quad is on,
+/// and the count is returned (0: skip the quad), or kc again if the list
+/// turns out longer than the cut-off. Any answer gives the same bits.
+inline int64_t QuadNonzeroKs(const float* a, int64_t rs, int64_t cs, int64_t kc, int32_t* ks) {
+  const int64_t step = std::max<int64_t>(1, kc / kProbes);
+  int64_t probes = 0, hits = 0;
+  for (int64_t k = 0; k < kc; k += step, ++probes) hits += QuadOn(a + k * cs, rs);
+  if (hits * kSparseDen > probes * kSparseNum) return kc;
+  int64_t n = 0;
+  for (int64_t k = 0; k < kc; ++k) {
+    ks[n] = static_cast<int32_t>(k);
+    n += QuadOn(a + k * cs, rs);
+  }
+  return n * kSparseDen > kc * kSparseNum ? kc : n;
+}
+
+/// Ragged-edge tile (mr < 4 or nr < 16) over one k panel, walking the same
+/// k as the micro-kernel (ks null: all n of them); same k order.
+inline void MicroTail(const simd::KernelTable& kt, const float* a, int64_t rs, int64_t cs,
                       const float* b, int64_t ldb, float* c, int64_t ldc, int64_t mr,
-                      int64_t nr, int64_t kc) {
+                      int64_t nr, const int32_t* ks, int64_t n) {
   for (int64_t i = 0; i < mr; ++i) {
-    const float* arow = a + i * lda;
     float* crow = c + i * ldc;
-    for (int64_t k = 0; k < kc; ++k) {
-      kt.axpy_f32(arow[k], b + k * ldb, crow, nr);
+    for (int64_t x = 0; x < n; ++x) {
+      const int64_t k = ks != nullptr ? ks[x] : x;
+      kt.axpy_f32(a[i * rs + k * cs], b + k * ldb, crow, nr);
     }
   }
 }
 
-/// Single-row zero-skip GEMV: C[0,:] += A[0,:] x B. Batch-1 serving is
-/// weight-traffic-bound, and Duet's row is sparse (one-hot encodings,
-/// wildcard zero blocks, ReLU-zeroed hidden activations), so skipping
-/// k with A[k] == 0 avoids streaming most of B. Accumulation stays
-/// k-ascending per output element, and a skipped term would contribute
-/// exactly +-0.0f to an accumulator that is never -0.0 (C starts at +0 and
-/// IEEE sums of finite terms cannot produce -0), so results are bitwise
-/// identical to the tiled path — the batch-size-invariance contract holds.
-void GemvRowSparse(const float* A, const float* B, float* C, int64_t K, int64_t N,
+/// Single-row zero-skip GEMV: C[0,:] += A[0,:] x B, A[0,k] = A[k * cs].
+/// Batch-1 serving is weight-traffic-bound, and Duet's row is sparse
+/// (one-hot encodings, wildcard zero blocks, ReLU-zeroed hidden
+/// activations), so skipping k with A[k] == 0 avoids streaming most of B.
+/// The skip is the exact one above, so results are bitwise identical to the
+/// tiled path — the batch-size-invariance contract holds.
+void GemvRowSparse(const float* A, int64_t cs, const float* B, float* C, int64_t K, int64_t N,
                    bool parallel) {
   const simd::KernelTable& kt = simd::Kernels();
   ParallelForChunked(
       0, N,
       [&](int64_t n0, int64_t n1) {
         for (int64_t k = 0; k < K; ++k) {
-          const float av = A[k];
+          const float av = A[k * cs];
           if (av == 0.0f) continue;
           kt.axpy_f32(av, B + k * N + n0, C + n0, n1 - n0);
         }
@@ -114,11 +176,11 @@ void GemvRowSparse(const float* A, const float* B, float* C, int64_t K, int64_t 
       parallel, /*grain=*/512);
 }
 
-/// Tiled C += A x B.
-void GemmTiled(const float* A, const float* B, float* C, int64_t M, int64_t K, int64_t N,
-               bool parallel) {
+/// Tiled C += A x B over the strided view of A.
+void GemmTiled(const float* A, int64_t rs, int64_t cs, const float* B, float* C, int64_t M,
+               int64_t K, int64_t N, bool parallel) {
   if (M == 1) {
-    GemvRowSparse(A, B, C, K, N, parallel);
+    GemvRowSparse(A, cs, B, C, K, N, parallel);
     return;
   }
   const simd::KernelTable& kt = simd::Kernels();
@@ -127,6 +189,7 @@ void GemmTiled(const float* A, const float* B, float* C, int64_t M, int64_t K, i
   ParallelForChunked(
       0, row_blocks * col_blocks,
       [&](int64_t lo, int64_t hi) {
+        int32_t ks[kKc];
         for (int64_t t = lo; t < hi; ++t) {
           const int64_t m0 = (t / col_blocks) * kMc, m1 = std::min(M, m0 + kMc);
           const int64_t n0 = (t % col_blocks) * kNc, n1 = std::min(N, n0 + kNc);
@@ -135,18 +198,21 @@ void GemmTiled(const float* A, const float* B, float* C, int64_t M, int64_t K, i
             const float* bp = B + k0 * N;
             int64_t i = m0;
             for (; i + kMr <= m1; i += kMr) {
-              const float* ap = A + i * K + k0;
+              const float* ap = A + i * rs + k0 * cs;
+              const int64_t n = QuadNonzeroKs(ap, rs, cs, kc, ks);
+              if (n == 0) continue;
+              const int32_t* list = n < kc ? ks : nullptr;
               int64_t j = n0;
               for (; j + kNr <= n1; j += kNr) {
-                kt.micro4x16(ap, K, bp + j, N, C + i * N + j, N, kc);
+                kt.micro4x16(ap, rs, cs, bp + j, N, C + i * N + j, N, list, n);
               }
               if (j < n1) {
-                MicroTail(kt, ap, K, bp + j, N, C + i * N + j, N, kMr, n1 - j, kc);
+                MicroTail(kt, ap, rs, cs, bp + j, N, C + i * N + j, N, kMr, n1 - j, list, n);
               }
             }
             if (i < m1) {
-              MicroTail(kt, A + i * K + k0, K, bp + n0, N, C + i * N + n0, N, m1 - i,
-                        n1 - n0, kc);
+              MicroTail(kt, A + i * rs + k0 * cs, rs, cs, bp + n0, N, C + i * N + n0, N, m1 - i,
+                        n1 - n0, nullptr, kc);
             }
           }
         }
@@ -155,16 +221,16 @@ void GemmTiled(const float* A, const float* B, float* C, int64_t M, int64_t K, i
 }
 
 /// Scalar reference: the original triple loop with the zero-skip.
-void GemmScalarRef(const float* A, const float* B, float* C, int64_t M, int64_t K, int64_t N,
-                   bool parallel) {
+void GemmScalarRef(const float* A, int64_t rs, int64_t cs, const float* B, float* C, int64_t M,
+                   int64_t K, int64_t N, bool parallel) {
   ParallelForChunked(
       0, M,
       [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r) {
-          const float* arow = A + r * K;
+          const float* arow = A + r * rs;
           float* crow = C + r * N;
           for (int64_t k = 0; k < K; ++k) {
-            const float av = arow[k];
+            const float av = arow[k * cs];
             if (av == 0.0f) continue;
             const float* brow = B + k * N;
             for (int64_t c = 0; c < N; ++c) crow[c] += av * brow[c];
@@ -174,13 +240,13 @@ void GemmScalarRef(const float* A, const float* B, float* C, int64_t M, int64_t 
       parallel, /*grain=*/8);
 }
 
-/// C += A x B for either kernel selection.
-inline void GemmAccum(const float* A, const float* B, float* C, int64_t M, int64_t K,
-                      int64_t N, bool parallel) {
+/// C += A x B for either kernel selection; A(r, k) = A[r * rs + k * cs].
+inline void GemmAccum(const float* A, int64_t rs, int64_t cs, const float* B, float* C,
+                      int64_t M, int64_t K, int64_t N, bool parallel) {
   if (g_use_scalar_kernels.load(std::memory_order_relaxed)) {
-    GemmScalarRef(A, B, C, M, K, N, parallel);
+    GemmScalarRef(A, rs, cs, B, C, M, K, N, parallel);
   } else {
-    GemmTiled(A, B, C, M, K, N, parallel);
+    GemmTiled(A, rs, cs, B, C, M, K, N, parallel);
   }
 }
 
@@ -194,45 +260,43 @@ inline void GemmAccum(const float* A, const float* B, float* C, int64_t M, int64
 /// combined as ((l0 + l1) + l2) + l3 before the dot is added to C. It is
 /// spelled out here rather than left to the vectorizer, so every build sums
 /// in this order. Each lane is a k-ascending sum, i.e. a GEMM over that
-/// lane's columns, so the lanes run through GemmTiled on de-interleaved
-/// copies of A and B^T (skipping exact zeros, which never changes the sum)
-/// and trained parameters stay bitwise what that loop produced; this beats
-/// a dot loop with four explicit accumulators, the same bits, by about a
-/// quarter of the training CPU. Each task owns a band of C rows.
+/// lane's columns: it runs through GemmTiled reading A in place with
+/// k-stride 4, against a de-interleaved copy of that lane's rows of B^T, and
+/// lane 0's tail is a second stride-1 GEMM into the same lane sum, so the
+/// order is unchanged and trained parameters stay bitwise what that loop
+/// produced. Each task owns a band of C rows.
 void GemmDotAccum(const float* A, const float* B, float* C, int64_t M, int64_t N, int64_t L,
                   bool parallel) {
   constexpr int64_t kLanes = 4;
   constexpr int64_t kRowsPerTask = 32;
   const int64_t body = L / kLanes;  // columns per lane below L4
   const int64_t l4 = body * kLanes;
-  int64_t len[kLanes];
-  Tensor a_lane[kLanes], bt_lane[kLanes], sum[kLanes];
+  Tensor bt_lane[kLanes], sum[kLanes];
   for (int64_t j = 0; j < kLanes; ++j) {
-    len[j] = body + (j == 0 ? L - l4 : 0);
-    a_lane[j] = Scratch(M * len[j], /*zeroed=*/false);
-    bt_lane[j] = Scratch(len[j] * N, /*zeroed=*/false);
+    // Lane j's rows of B^T in summation order: j, j+4, ..., then lane 0's tail.
+    const int64_t len = body + (j == 0 ? L - l4 : 0);
+    bt_lane[j] = Scratch(len * N, /*zeroed=*/false);
     sum[j] = Scratch(M * N, /*zeroed=*/true);
-  }
-  // Lane j's i-th column in summation order: j, j+4, ..., then lane 0's tail.
-  auto column = [&](int64_t j, int64_t i) { return i < body ? i * kLanes + j : l4 + (i - body); };
-  for (int64_t j = 0; j < kLanes; ++j) {
     float* bp = bt_lane[j].data();
     for (int64_t n = 0; n < N; ++n) {
-      for (int64_t i = 0; i < len[j]; ++i) bp[i * N + n] = B[n * L + column(j, i)];
+      for (int64_t i = 0; i < len; ++i) {
+        bp[i * N + n] = B[n * L + (i < body ? i * kLanes + j : l4 + (i - body))];
+      }
     }
   }
   ParallelForChunked(
       0, (M + kRowsPerTask - 1) / kRowsPerTask,
       [&](int64_t lo, int64_t hi) {
         const int64_t m0 = lo * kRowsPerTask, m1 = std::min(M, hi * kRowsPerTask);
-        for (int64_t j = 0; j < kLanes; ++j) {
-          if (len[j] == 0) continue;
-          float* ap = a_lane[j].data();
-          for (int64_t m = m0; m < m1; ++m) {
-            for (int64_t i = 0; i < len[j]; ++i) ap[m * len[j] + i] = A[m * L + column(j, i)];
+        if (body > 0) {
+          for (int64_t j = 0; j < kLanes; ++j) {
+            GemmTiled(A + m0 * L + j, L, kLanes, bt_lane[j].data(), sum[j].data() + m0 * N,
+                      m1 - m0, body, N, /*parallel=*/false);
           }
-          GemmTiled(ap + m0 * len[j], bt_lane[j].data(), sum[j].data() + m0 * N, m1 - m0, len[j],
-                    N, /*parallel=*/false);
+        }
+        if (l4 < L) {
+          GemmTiled(A + m0 * L + l4, L, 1, bt_lane[0].data() + body * N, sum[0].data() + m0 * N,
+                    m1 - m0, L - l4, N, /*parallel=*/false);
         }
         const float* p0 = sum[0].data();
         const float* p1 = sum[1].data();
@@ -274,29 +338,13 @@ inline void GemmDot(const float* A, const float* B, float* C, int64_t M, int64_t
 }
 
 /// Weight-gradient accumulate: C[k,n] += sum_m A[m,k] * G[m,n], i.e.
-/// C += A^T x G, run through GemmAccum on a transposed scratch copy of A.
-/// Per output the terms still add m-ascending and only exact-zero products
-/// are skipped (GemvRowSparse says why a skipped term never changes the
-/// sum), so the tiled and scalar-reference kernels agree bitwise with each
-/// other and with the row loop over m that this replaced. Each task owns a
-/// band of C rows (A columns): it transposes that band and multiplies it,
-/// so the split is race-free.
+/// C += A^T x G, with A read transposed in place (rs = 1, cs = K). Per
+/// output the terms add m-ascending and only exact-zero products are
+/// skipped, so the tiled and scalar-reference kernels agree bitwise with
+/// each other and with the row loop over m that this replaced.
 void GemmAtBAccum(const float* A, const float* G, float* C, int64_t M, int64_t K, int64_t N,
                   bool parallel) {
-  constexpr int64_t kRowsPerTask = 32;
-  Tensor at = Scratch(K * M, /*zeroed=*/false);
-  float* t = at.data();
-  ParallelForChunked(
-      0, (K + kRowsPerTask - 1) / kRowsPerTask,
-      [&](int64_t lo, int64_t hi) {
-        const int64_t k0 = lo * kRowsPerTask, k1 = std::min(K, hi * kRowsPerTask);
-        for (int64_t m = 0; m < M; ++m) {
-          const float* arow = A + m * K;
-          for (int64_t k = k0; k < k1; ++k) t[k * M + m] = arow[k];
-        }
-        GemmAccum(t + k0 * M, G, C + k0 * N, k1 - k0, M, N, /*parallel=*/false);
-      },
-      parallel, /*grain=*/1);
+  GemmAccum(A, /*rs=*/1, /*cs=*/K, G, C, K, M, N, parallel);
 }
 
 /// Shared fused bias+activation epilogue over [B, O] rows. One pass adds the
@@ -353,8 +401,8 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
   const int64_t b = a.dim(0), i_dim = a.dim(1), o = w.dim(1);
   DUET_CHECK_EQ(i_dim, w.dim(0));
   const bool track = TrackGrad({&a, &w});
-  Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl()});
-  GemmAccum(a.data(), w.data(), out.data(), b, i_dim, o, GemmParallel(b, i_dim, o));
+  Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl()}, /*zeroed=*/true);
+  GemmAccum(a.data(), i_dim, 1, w.data(), out.data(), b, i_dim, o, GemmParallel(b, i_dim, o));
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get(); TensorImpl* oi = out.impl().get();
     out.impl()->backward = [ai, wi, oi, b, i_dim, o]() {
@@ -383,7 +431,7 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Te
   DUET_CHECK_EQ(i_dim, w.dim(0));
   DUET_CHECK_EQ(o, bias.dim(0));
   const bool track = TrackGrad({&a, &w, &bias});
-  Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl(), bias.impl()});
+  Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl(), bias.impl()}, /*zeroed=*/true);
   Tensor w_eff = w;
   if (mask != nullptr) {
     DUET_CHECK_EQ(mask->numel(), w.numel());
@@ -396,7 +444,7 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Te
   }
   float* cp = out.data();
   const bool par = GemmParallel(b, i_dim, o);
-  GemmAccum(a.data(), w_eff.data(), cp, b, i_dim, o, par);
+  GemmAccum(a.data(), i_dim, 1, w_eff.data(), cp, b, i_dim, o, par);
   BiasActRows(cp, bias.data(), b, o, act, par);
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get();
@@ -476,7 +524,7 @@ Tensor AddBias(const Tensor& x, const Tensor& bias) {
   const int64_t b = x.dim(0), o = x.dim(1);
   DUET_CHECK_EQ(o, bias.dim(0));
   const bool track = TrackGrad({&x, &bias});
-  Tensor out = MakeResult({b, o}, track, {x.impl(), bias.impl()});
+  Tensor out = MakeResult({b, o}, track, {x.impl(), bias.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   const float* bp = bias.data();
   float* op = out.data();
@@ -506,7 +554,7 @@ template <typename Fwd, typename Bwd>
 Tensor BinaryElementwise(const Tensor& a, const Tensor& b, Fwd fwd, Bwd bwd) {
   DUET_CHECK_EQ(a.numel(), b.numel());
   const bool track = TrackGrad({&a, &b});
-  Tensor out = MakeResult(a.shape(), track, {a.impl(), b.impl()});
+  Tensor out = MakeResult(a.shape(), track, {a.impl(), b.impl()}, /*zeroed=*/false);
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
@@ -533,7 +581,7 @@ Tensor BinaryElementwise(const Tensor& a, const Tensor& b, Fwd fwd, Bwd bwd) {
 template <typename Fwd, typename Bwd>
 Tensor UnaryElementwise(const Tensor& x, Fwd fwd, Bwd bwd) {
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult(x.shape(), track, {x.impl()});
+  Tensor out = MakeResult(x.shape(), track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   float* op = out.data();
   const int64_t n = x.numel();
@@ -633,7 +681,7 @@ Tensor ConcatCols(const std::vector<Tensor>& parts) {
     track = track || (NoGradGuard::GradEnabled() && t.requires_grad());
     parents.push_back(t.impl());
   }
-  Tensor out = MakeResult({b, total}, track, parents);
+  Tensor out = MakeResult({b, total}, track, parents, /*zeroed=*/false);
   float* op = out.data();
   int64_t off = 0;
   for (const Tensor& t : parts) {
@@ -681,7 +729,7 @@ Tensor ConcatRows(const std::vector<Tensor>& parts) {
     track = track || (NoGradGuard::GradEnabled() && t.requires_grad());
     parents.push_back(t.impl());
   }
-  Tensor out = MakeResult({total_rows, h}, track, parents);
+  Tensor out = MakeResult({total_rows, h}, track, parents, /*zeroed=*/false);
   float* op = out.data();
   int64_t row = 0;
   for (const Tensor& t : parts) {
@@ -713,7 +761,7 @@ Tensor SliceCols(const Tensor& x, int64_t start, int64_t len) {
   DUET_CHECK_GE(start, 0);
   DUET_CHECK_LE(start + len, d);
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({b, len}, track, {x.impl()});
+  Tensor out = MakeResult({b, len}, track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   float* op = out.data();
   for (int64_t r = 0; r < b; ++r) {
@@ -737,7 +785,7 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int32_t>& idx) {
   const int64_t v = weight.dim(0), e = weight.dim(1);
   const int64_t b = static_cast<int64_t>(idx.size());
   const bool track = TrackGrad({&weight});
-  Tensor out = MakeResult({b, e}, track, {weight.impl()});
+  Tensor out = MakeResult({b, e}, track, {weight.impl()}, /*zeroed=*/false);
   const float* wp = weight.data();
   float* op = out.data();
   for (int64_t r = 0; r < b; ++r) {
@@ -765,8 +813,9 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int32_t>& idx) {
 Tensor SoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
   DUET_CHECK_EQ(x.ndim(), 2);
   const int64_t b = x.dim(0), d = x.dim(1);
+  CheckBlocksTile(blocks, d);
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({b, d}, track, {x.impl()});
+  Tensor out = MakeResult({b, d}, track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   float* op = out.data();
   for (int64_t r = 0; r < b; ++r) {
@@ -809,8 +858,9 @@ Tensor SoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
 Tensor LogSoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
   DUET_CHECK_EQ(x.ndim(), 2);
   const int64_t b = x.dim(0), d = x.dim(1);
+  CheckBlocksTile(blocks, d);
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({b, d}, track, {x.impl()});
+  Tensor out = MakeResult({b, d}, track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   float* op = out.data();
   for (int64_t r = 0; r < b; ++r) {
@@ -859,7 +909,7 @@ Tensor NllLossBlocks(const Tensor& logp, const std::vector<BlockSpec>& blocks,
   const int64_t n = static_cast<int64_t>(blocks.size());
   DUET_CHECK_EQ(static_cast<int64_t>(targets.size()), b * n);
   const bool track = TrackGrad({&logp});
-  Tensor out = MakeResult({1}, track, {logp.impl()});
+  Tensor out = MakeResult({1}, track, {logp.impl()}, /*zeroed=*/false);
   const float* lp = logp.data();
   double loss = 0.0;
   for (int64_t r = 0; r < b; ++r) {
@@ -896,7 +946,7 @@ Tensor MaskedSumBlocks(const Tensor& p, const Tensor& mask,
   const int64_t b = p.dim(0), d = p.dim(1);
   const int64_t n = static_cast<int64_t>(blocks.size());
   const bool track = TrackGrad({&p});
-  Tensor out = MakeResult({b, n}, track, {p.impl(), mask.impl()});
+  Tensor out = MakeResult({b, n}, track, {p.impl(), mask.impl()}, /*zeroed=*/false);
   const float* pp = p.data();
   const float* mp = mask.data();
   float* op = out.data();
@@ -935,7 +985,7 @@ Tensor SumCols(const Tensor& x) {
   DUET_CHECK_EQ(x.ndim(), 2);
   const int64_t b = x.dim(0), n = x.dim(1);
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({b}, track, {x.impl()});
+  Tensor out = MakeResult({b}, track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   float* op = out.data();
   for (int64_t r = 0; r < b; ++r) {
@@ -959,7 +1009,7 @@ Tensor SumCols(const Tensor& x) {
 Tensor MeanAll(const Tensor& x) {
   const int64_t n = x.numel();
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({1}, track, {x.impl()});
+  Tensor out = MakeResult({1}, track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   double acc = 0.0;
   for (int64_t i = 0; i < n; ++i) acc += xp[i];
@@ -978,7 +1028,7 @@ Tensor MeanAll(const Tensor& x) {
 Tensor SumAll(const Tensor& x) {
   const int64_t n = x.numel();
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({1}, track, {x.impl()});
+  Tensor out = MakeResult({1}, track, {x.impl()}, /*zeroed=*/false);
   const float* xp = x.data();
   double acc = 0.0;
   for (int64_t i = 0; i < n; ++i) acc += xp[i];
@@ -998,7 +1048,7 @@ Tensor Select(const std::vector<float>& cond, const Tensor& a, const Tensor& b) 
   DUET_CHECK_EQ(a.numel(), b.numel());
   DUET_CHECK_EQ(static_cast<int64_t>(cond.size()), a.numel());
   const bool track = TrackGrad({&a, &b});
-  Tensor out = MakeResult(a.shape(), track, {a.impl(), b.impl()});
+  Tensor out = MakeResult(a.shape(), track, {a.impl(), b.impl()}, /*zeroed=*/false);
   const float* ap = a.data();
   const float* bp = b.data();
   float* op = out.data();
@@ -1027,7 +1077,7 @@ Tensor MeanPoolSegments(const Tensor& x, const std::vector<float>& mask, int64_t
   DUET_CHECK_EQ(static_cast<int64_t>(mask.size()), batch * set_size);
   const int64_t h = x.dim(1);
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({batch, h}, track, {x.impl()});
+  Tensor out = MakeResult({batch, h}, track, {x.impl()}, /*zeroed=*/true);
   const float* xp = x.data();
   float* op = out.data();
   std::vector<float> counts(static_cast<size_t>(batch), 0.0f);
@@ -1074,7 +1124,7 @@ Tensor Reshape(const Tensor& x, std::vector<int64_t> shape) {
   for (int64_t d : shape) n *= d;
   DUET_CHECK_EQ(n, x.numel());
   const bool track = TrackGrad({&x});
-  Tensor out = MakeResult(std::move(shape), track, {x.impl()});
+  Tensor out = MakeResult(std::move(shape), track, {x.impl()}, /*zeroed=*/false);
   std::copy(x.data(), x.data() + n, out.data());
   if (track) {
     TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
@@ -1094,7 +1144,7 @@ Tensor BlockDiagMatMul(const Tensor& x, const Tensor& w, int64_t num_blocks, int
   DUET_CHECK_EQ(w.numel(), num_blocks * in * out);
   const int64_t b = x.dim(0);
   const bool track = TrackGrad({&x, &w});
-  Tensor res = MakeResult({b, num_blocks * out}, track, {x.impl(), w.impl()});
+  Tensor res = MakeResult({b, num_blocks * out}, track, {x.impl(), w.impl()}, /*zeroed=*/true);
   const float* xp = x.data();
   const float* wp = w.data();
   float* op = res.data();
@@ -1161,7 +1211,7 @@ void RawMatMulBiasAct(const float* a, const float* w, const float* bias, int64_t
                       int64_t k, int64_t n, Activation act, float* out) {
   std::fill(out, out + m * n, 0.0f);
   const bool par = GemmParallel(m, k, n);
-  GemmAccum(a, w, out, m, k, n, par);
+  GemmAccum(a, k, 1, w, out, m, k, n, par);
   BiasActRows(out, bias, m, n, act, par);
 }
 

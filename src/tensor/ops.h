@@ -108,10 +108,11 @@ Tensor SliceCols(const Tensor& x, int64_t start, int64_t len);
 /// Embedding lookup: weight:[V,E], idx (row per output) -> [B,E].
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int32_t>& idx);
 
-/// Row-wise softmax over each block independently; x:[B,D].
+/// Row-wise softmax over each block independently; x:[B,D]. The blocks
+/// must tile the row: ascending, contiguous and covering [0, D).
 Tensor SoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks);
 
-/// Row-wise log-softmax over each block independently.
+/// Row-wise log-softmax over each block independently; same block rule.
 Tensor LogSoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks);
 
 /// Full-row softmax (single block).

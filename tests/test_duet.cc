@@ -5,11 +5,13 @@
 #include <cmath>
 #include <sstream>
 
+#include "common/serialize.h"
 #include "common/stats.h"
 
 #include "baselines/traditional/independence.h"
 #include "core/duet_model.h"
 #include "core/encoding.h"
+#include "core/finetune.h"
 #include "core/sampler.h"
 #include "core/trainer.h"
 #include "data/generator.h"
@@ -479,6 +481,59 @@ TEST(DuetTrainingTest, HybridEpochReusesStepBuffers) {
   trainer.TrainEpoch(1);
   EXPECT_EQ(tensor::TensorArena::stats().fresh_allocs, 0u);
   EXPECT_GT(tensor::TensorArena::stats().reuses, 0u);
+}
+
+/// FNV-1a over the bytes of every parameter, in parameters() order.
+uint64_t ParameterDigest(const DuetModel& model) {
+  uint64_t h = kFnv1a64Basis;
+  for (const tensor::Tensor& p : model.parameters()) {
+    h = Fnv1a64Mix(h, Fnv1a64(p.data(), static_cast<size_t>(p.numel()) * sizeof(float)));
+  }
+  return h;
+}
+
+TEST(DuetTrainingTest, FixtureDigestIsPinned) {
+  // Training is bitwise-reproducible (docs/architecture.md §1): a few hybrid
+  // steps and one online fine-tune round on a fixed-seed table must land on
+  // these exact parameter bits, on every ISA tier and thread count. A change
+  // to a training kernel that reorders any sum moves the digests; one that
+  // only skips exact-zero products (or stops copying operands) does not.
+#ifdef DUET_NATIVE_ARCH_BUILD
+  GTEST_SKIP() << "-march=native lets the compiler contract mul+add into FMA "
+                  "outside the kernels, so this build trains to its own bits";
+#endif
+  data::Table t = SmallTable(800, 21);
+  query::WorkloadSpec wspec;
+  wspec.num_queries = 96;
+  wspec.seed = 23;
+  const query::Workload train_wl = query::WorkloadGenerator(t, wspec).Generate();
+  wspec.seed = 29;
+  const query::Workload feedback = query::WorkloadGenerator(t, wspec).Generate();
+  wspec.num_queries = 32;
+  wspec.seed = 31;
+  const query::Workload holdout = query::WorkloadGenerator(t, wspec).Generate();
+
+  DuetModelOptions mopt;
+  mopt.hidden_sizes = {64, 64};
+  mopt.residual = true;
+  mopt.seed = 37;
+  DuetModel model(t, mopt);
+  TrainOptions topt;
+  topt.epochs = 1;
+  topt.batch_size = 128;
+  topt.max_rows_per_epoch = 512;
+  topt.seed = 41;
+  topt.train_workload = &train_wl;
+  DuetTrainer(model, topt).Train();
+  EXPECT_EQ(ParameterDigest(model), 0x1d3f73361e104738ULL) << std::hex << ParameterDigest(model);
+
+  OnlineUpdateOptions uopt;
+  uopt.finetune.qerror_threshold = 1.5;
+  uopt.finetune.max_anchor_rows = 256;
+  const OnlineUpdateResult tuned = CloneAndFineTune(model, feedback, holdout, uopt);
+  ASSERT_FALSE(tuned.report.collected.empty());
+  EXPECT_EQ(ParameterDigest(*tuned.model), 0x131609bd6fc9d012ULL)
+      << std::hex << ParameterDigest(*tuned.model);
 }
 
 TEST(DuetModelTest, SaveLoadPreservesEstimates) {

@@ -1,12 +1,15 @@
 // Tiled-GEMM correctness: the register-blocked MatMul / MatMulBiasAct
 // kernels must match the scalar triple-loop reference bitwise in the
 // forward and dW (dX to rounding) on ragged and zero-heavy shapes, dX must
-// follow its documented four-lane order, the fused masked layer must equal
-// the composed ops bitwise, NoGradScope must be bitwise transparent, and the
-// tensor arena must reach a zero-allocation steady state for inference and
-// for training steps.
+// follow its documented four-lane order, the per-panel quad skip must be
+// bitwise on every operand view (row-major, transposed, lane-strided), the
+// fused masked layer must equal the composed ops bitwise, NoGradScope must
+// be bitwise transparent, ops that skip their output's zero fill must ignore
+// recycled contents, and the tensor arena must reach a zero-allocation
+// steady state for inference and for training steps.
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -143,6 +146,78 @@ TEST(TiledGemm, DxFollowsTheFourLaneOrder) {
           }
         }
       }
+    }
+  }
+}
+
+/// [rows, cols] values in 4-row quads (quad_rows) or 4-column quads
+/// (!quad_rows). At each position along the other axis a quad is either all
+/// zero or "on", and quad q is on at exactly kOnShares[q % 6] / 64 of any 64
+/// consecutive positions: none, sparse, half, and shares just below and
+/// above GemmTiled's 3/4 list cut-off, up to fully on. Entries of an on quad
+/// are random, about a fifth of them exact zeros, so partly-zero quads occur
+/// too.
+Tensor QuadSparse(int64_t rows, int64_t cols, bool quad_rows, Rng& rng) {
+  constexpr int64_t kOnShares[] = {0, 8, 32, 44, 52, 64};
+  Tensor t = Tensor::Zeros({rows, cols});
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) {
+      const int64_t q = quad_rows ? r / 4 : c / 4;
+      const int64_t pos = quad_rows ? c : r;
+      const bool on = (pos * 37 + q * 13) % 64 < kOnShares[q % 6];
+      if (on && !rng.Bernoulli(0.2)) t.data()[r * cols + c] = rng.UniformFloat() * 2.0f - 1.0f;
+    }
+  }
+  return t;
+}
+
+TEST(TiledGemm, QuadSkipIsBitwiseOnEveryOperandView) {
+  // The micro-kernel walks a whole k panel for dense quads and the list of
+  // nonzero k for sparse ones; both leave out only exact-zero products, so
+  // every view must match its reference bit for bit: the forward (A
+  // row-major, quads of batch rows) and dW (A read transposed, quads of
+  // input features, k = batch) against the scalar reference, and dX (the
+  // output gradient read with k-stride 4 per lane, plus lane 0's tail)
+  // against the plain four-lane loop. Shapes are ragged in M % 4 and
+  // N % 16, cross the 256-deep k panel on both the forward's and dW's
+  // reduction axis, and give dX every L % 4.
+  struct Shape {
+    int64_t b, k, o;
+  };
+  const Shape shapes[] = {{31, 300, 37}, {300, 31, 18}, {8, 64, 16}, {261, 257, 39}};
+  Rng rng(17);
+  for (const Shape& s : shapes) {
+    for (const bool quad_rows : {true, false}) {
+      const Tensor a0 = QuadSparse(s.b, s.k, quad_rows, rng);
+      const Tensor w0 = RandomTensor({s.k, s.o}, rng, false);
+      const Tensor r = QuadSparse(s.b, s.o, /*quad_rows=*/true, rng);
+      auto run = [&](bool scalar) {
+        ScalarKernelGuard guard(scalar);
+        Tensor a = a0.Clone();
+        Tensor w = w0.Clone();
+        a.impl()->requires_grad = true;
+        w.impl()->requires_grad = true;
+        Tensor out = MatMul(a, w);
+        SumAll(Mul(out, r)).Backward();
+        return std::make_tuple(out.value_vector(), a.grad_vector(), w.grad_vector());
+      };
+      const auto [out_t, ga_t, gw_t] = run(false);
+      const auto [out_s, ga_s, gw_s] = run(true);
+      ExpectBitwiseEqual(out_t, out_s, "forward");
+      ExpectBitwiseEqual(gw_t, gw_s, "dW");
+      const int64_t l = s.o, l4 = l & ~int64_t{3};
+      std::vector<float> dx(static_cast<size_t>(s.b * s.k));
+      for (int64_t m = 0; m < s.b; ++m) {
+        for (int64_t n = 0; n < s.k; ++n) {
+          float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+          const float* g = r.data() + m * l;
+          const float* wn = w0.data() + n * l;
+          for (int64_t i = 0; i < l4; ++i) lane[i % 4] += g[i] * wn[i];
+          for (int64_t i = l4; i < l; ++i) lane[0] += g[i] * wn[i];
+          dx[static_cast<size_t>(m * s.k + n)] = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+        }
+      }
+      ExpectBitwiseEqual(ga_t, dx, "dX");
     }
   }
 }
@@ -359,6 +434,56 @@ TEST(TrainingScopeTest, ArenaIsFreedWhenTheScopeEnds) {
   }
   EXPECT_EQ(TensorArena::stats().fresh_allocs, 2u) << "the scope must leave nothing pooled";
   TensorArena::Clear();
+}
+
+TEST(TrainingScopeTest, OverwritingOpsIgnoreRecycledContents) {
+  // Ops that write every output element take their output buffer without a
+  // zero fill. Poison the step arena with NaN-filled buffers of every size
+  // they draw, run them again, and compare with a fresh scope bit for bit.
+  Rng rng(113);
+  const int64_t b = 5, d = 7;
+  auto input = [&](float lo, bool grad) {
+    Tensor t = RandomTensor({b, d}, rng, grad);
+    for (int64_t i = 0; i < t.numel(); ++i) t.data()[i] = t.data()[i] + lo;
+    return t;
+  };
+  const Tensor x = input(2.0f, true);  // positive: Log and Div are finite
+  const Tensor y = input(2.0f, true);
+  const Tensor s = input(0.0f, true);  // signed: Relu and ClampMin clip
+  const Tensor bias = RandomTensor({d}, rng, true);
+  const Tensor emb = RandomTensor({3, d}, rng, true);
+  const Tensor mask = SparseTensor({b, d}, rng, 0.5);
+  const std::vector<BlockSpec> blocks = {{0, 3}, {3, 4}};
+  const std::vector<int32_t> targets = {0, 1, 2, 3, 1, 0, 2, 2, 0, 3};
+  std::vector<float> cond(static_cast<size_t>(b * d));
+  for (size_t i = 0; i < cond.size(); ++i) cond[i] = static_cast<float>(i % 3 == 0);
+
+  auto run_ops = [&] {
+    std::vector<Tensor> out = {
+        AddBias(x, bias), Add(x, y), Sub(x, y), Mul(x, y), Div(x, y), AddScalar(x, 0.5f),
+        MulScalar(x, -2.0f), Relu(s), Sigmoid(s), Tanh(s), Exp(s), Log(x), ClampMin(s, 0.1f),
+        ConcatCols({x, y}), ConcatRows({x, y}), SliceCols(x, 2, 3),
+        EmbeddingLookup(emb, {2, 0, 2, 1}), SoftmaxBlocks(s, blocks), Softmax(s),
+        MaskedSumBlocks(x, mask, blocks), SumCols(s), MeanAll(s), SumAll(s), Select(cond, x, y),
+        Reshape(x, {d, b}), LogSoftmaxBlocks(s, blocks)};
+    out.push_back(NllLossBlocks(out.back(), blocks, targets));
+    return out;
+  };
+  std::vector<std::vector<float>> want;
+  {
+    TrainingScope fresh;
+    for (const Tensor& t : run_ops()) want.push_back(t.value_vector());
+  }
+  TrainingScope scope;
+  for (Tensor& t : run_ops()) std::fill(t.data(), t.data() + t.numel(), std::nanf(""));
+  TensorArena::ResetStats();
+  const std::vector<Tensor> got = run_ops();
+  EXPECT_EQ(TensorArena::stats().fresh_allocs, 0u) << "every output reuses a poisoned buffer";
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("op #" + std::to_string(i));
+    ExpectBitwiseEqual(got[i].value_vector(), want[i], "output");
+  }
 }
 
 TEST(NoGradScopeTest, PooledBuffersDoNotAliasLiveTensors) {
