@@ -22,9 +22,10 @@ bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
   return false;
 }
 
-/// An op's output node. `zeroed` is for ops that accumulate into it; an op
-/// that writes every element passes false and, inside a TrainingScope or a
-/// NoGradScope, gets a recycled buffer without the fill.
+/// An op's output node, or kernel scratch (track false, no parents).
+/// `zeroed` is for ops and kernels that accumulate into it; one that writes
+/// every element passes false and, inside a TrainingScope or a NoGradScope,
+/// gets a recycled arena buffer without the fill.
 Tensor MakeResult(std::vector<int64_t> shape, bool track, std::vector<Impl> parents,
                   bool zeroed) {
   auto impl = std::make_shared<TensorImpl>();
@@ -40,20 +41,8 @@ Tensor MakeResult(std::vector<int64_t> shape, bool track, std::vector<Impl> pare
   return Tensor(std::move(impl));
 }
 
-/// Kernel scratch of n floats, zero-filled for accumulation or left
-/// unspecified for a buffer the caller overwrites. Inside a TrainingScope
-/// (or a NoGradScope) it is an arena buffer, recycled when the returned
-/// tensor dies.
-Tensor Scratch(int64_t n, bool zeroed) {
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = {n};
-  if (!impl->AcquirePooled(static_cast<size_t>(n))) {
-    impl->value.resize(static_cast<size_t>(n));
-  } else if (zeroed) {
-    std::fill(impl->value.begin(), impl->value.end(), 0.0f);
-  }
-  return Tensor(std::move(impl));
-}
+/// Kernel scratch of n floats; see MakeResult for `zeroed` and pooling.
+Tensor Scratch(int64_t n, bool zeroed) { return MakeResult({n}, false, {}, zeroed); }
 
 /// Row count for a [B, D] style tensor (1-D tensors are treated as B=1).
 int64_t Rows(const Tensor& t) { return t.ndim() == 1 ? 1 : t.dim(0); }
@@ -85,13 +74,11 @@ void CheckBlocksTile(const std::vector<BlockSpec>& blocks, int64_t d) {
 // C element the accumulation order is k-ascending regardless of tile
 // placement, so results do not depend on the batch size or thread count.
 //
-// Zero-skip. A product with an exact-zero A element is +-0.0f, and adding
+// Zero terms. A product with an exact-zero A element is +-0.0f, and adding
 // it to a finite accumulator that is never -0.0 (C starts at +0, and IEEE
 // sums of finite terms cannot produce -0) leaves it bitwise unchanged. So
-// terms may be left out or kept at will: for each row quad and k panel,
-// GemmTiled lists once the k where any of the quad's four rows is nonzero,
-// and every column tile of the quad walks that list when it is short enough
-// to pay, or the whole panel otherwise. The skip is exact only for finite
+// the tiled kernel keeps every term while the GEMV and the scalar reference
+// skip zeros, and all three agree bitwise. This is exact only for finite
 // B: a kept zero times an infinite or NaN B element is NaN.
 
 std::atomic<bool> g_use_scalar_kernels{false};
@@ -101,13 +88,6 @@ constexpr int64_t kNr = 16;   // micro-kernel cols
 constexpr int64_t kKc = 256;  // k-panel depth
 constexpr int64_t kMc = 64;   // task block rows
 constexpr int64_t kNc = 256;  // task block cols
-// A quad walks its list of nonzero k when at most this share of the panel
-// is on it, and the whole panel otherwise: a listed k costs an index load
-// more than a contiguous one, and building the list costs a scan. The
-// decision is first made on kProbes sampled k, so a dense quad skips the
-// scan (CHANGES.md records the measurements behind both constants).
-constexpr int64_t kSparseNum = 3, kSparseDen = 4;
-constexpr int64_t kProbes = 16;
 
 /// Work threshold above which GEMM-shaped loops go to the thread pool.
 inline bool GemmParallel(int64_t m, int64_t k, int64_t n) {
@@ -118,40 +98,13 @@ inline bool GemmParallel(int64_t m, int64_t k, int64_t n) {
 // tier) and is reached through the runtime dispatch table, as is the fp32
 // axpy that the ragged-edge tail and the zero-skip GEMV bottom out in.
 
-/// Whether any of the quad's four rows is nonzero at the k that ak points to.
-inline bool QuadOn(const float* ak, int64_t rs) {
-  return (ak[0] != 0.0f) | (ak[rs] != 0.0f) | (ak[2 * rs] != 0.0f) | (ak[3 * rs] != 0.0f);
-}
-
-/// The k a row quad walks in one panel. A quad that looks dense on a sample
-/// of kProbes evenly spaced k returns kc (walk the whole panel) without a
-/// full scan. Otherwise ks gets, ascending, every k where the quad is on,
-/// and the count is returned (0: skip the quad), or kc again if the list
-/// turns out longer than the cut-off. Any answer gives the same bits.
-inline int64_t QuadNonzeroKs(const float* a, int64_t rs, int64_t cs, int64_t kc, int32_t* ks) {
-  const int64_t step = std::max<int64_t>(1, kc / kProbes);
-  int64_t probes = 0, hits = 0;
-  for (int64_t k = 0; k < kc; k += step, ++probes) hits += QuadOn(a + k * cs, rs);
-  if (hits * kSparseDen > probes * kSparseNum) return kc;
-  int64_t n = 0;
-  for (int64_t k = 0; k < kc; ++k) {
-    ks[n] = static_cast<int32_t>(k);
-    n += QuadOn(a + k * cs, rs);
-  }
-  return n * kSparseDen > kc * kSparseNum ? kc : n;
-}
-
-/// Ragged-edge tile (mr < 4 or nr < 16) over one k panel, walking the same
-/// k as the micro-kernel (ks null: all n of them); same k order.
+/// Ragged-edge tile (mr < 4 or nr < 16) over one k panel; same k order.
 inline void MicroTail(const simd::KernelTable& kt, const float* a, int64_t rs, int64_t cs,
                       const float* b, int64_t ldb, float* c, int64_t ldc, int64_t mr,
-                      int64_t nr, const int32_t* ks, int64_t n) {
+                      int64_t nr, int64_t kc) {
   for (int64_t i = 0; i < mr; ++i) {
     float* crow = c + i * ldc;
-    for (int64_t x = 0; x < n; ++x) {
-      const int64_t k = ks != nullptr ? ks[x] : x;
-      kt.axpy_f32(a[i * rs + k * cs], b + k * ldb, crow, nr);
-    }
+    for (int64_t k = 0; k < kc; ++k) kt.axpy_f32(a[i * rs + k * cs], b + k * ldb, crow, nr);
   }
 }
 
@@ -189,7 +142,6 @@ void GemmTiled(const float* A, int64_t rs, int64_t cs, const float* B, float* C,
   ParallelForChunked(
       0, row_blocks * col_blocks,
       [&](int64_t lo, int64_t hi) {
-        int32_t ks[kKc];
         for (int64_t t = lo; t < hi; ++t) {
           const int64_t m0 = (t / col_blocks) * kMc, m1 = std::min(M, m0 + kMc);
           const int64_t n0 = (t % col_blocks) * kNc, n1 = std::min(N, n0 + kNc);
@@ -199,20 +151,17 @@ void GemmTiled(const float* A, int64_t rs, int64_t cs, const float* B, float* C,
             int64_t i = m0;
             for (; i + kMr <= m1; i += kMr) {
               const float* ap = A + i * rs + k0 * cs;
-              const int64_t n = QuadNonzeroKs(ap, rs, cs, kc, ks);
-              if (n == 0) continue;
-              const int32_t* list = n < kc ? ks : nullptr;
               int64_t j = n0;
               for (; j + kNr <= n1; j += kNr) {
-                kt.micro4x16(ap, rs, cs, bp + j, N, C + i * N + j, N, list, n);
+                kt.micro4x16(ap, rs, cs, bp + j, N, C + i * N + j, N, kc);
               }
               if (j < n1) {
-                MicroTail(kt, ap, rs, cs, bp + j, N, C + i * N + j, N, kMr, n1 - j, list, n);
+                MicroTail(kt, ap, rs, cs, bp + j, N, C + i * N + j, N, kMr, n1 - j, kc);
               }
             }
             if (i < m1) {
               MicroTail(kt, A + i * rs + k0 * cs, rs, cs, bp + n0, N, C + i * N + n0, N, m1 - i,
-                        n1 - n0, nullptr, kc);
+                        n1 - n0, kc);
             }
           }
         }

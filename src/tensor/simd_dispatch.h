@@ -78,15 +78,15 @@ struct KernelTable {
   /// be deferred to the per-output epilogue.
   void (*axpy_i4)(float av, const uint8_t* nib, const float* gs, float* c, int64_t n);
   /// Full 4x16 register-blocked GEMM micro-tile over one k panel:
-  /// C[0..4,0..16) += A(:, k) x B(k, :), k-ascending, branch-free. A is a
-  /// strided view, A(r, k) = a[r*rs + k*cs], so the forward (rs = lda,
-  /// cs = 1), dW's transposed operand (rs = 1, cs = lda) and dX's lane
-  /// operand (cs = 4) are read without a copy. The tile walks k = 0..n
-  /// when ks is null, else the ascending k offsets ks[0..n): GemmTiled
-  /// decides once per row quad and k panel whether to leave out the k
-  /// where all four A rows are zero, and every column tile reuses that list.
+  /// C[0..4,0..16) += A(:, k) x B(k, :) for k = 0..kc, k-ascending,
+  /// branch-free. A is a strided view, A(r, k) = a[r*rs + k*cs], so the
+  /// forward (rs = lda, cs = 1), dW's transposed operand (rs = 1,
+  /// cs = lda) and dX's lane operand (cs = 4) are read without a copy.
+  /// Zero A values are multiplied like any other: leaving them out would
+  /// give the same bits for finite operands, and a per-k zero test costs
+  /// more than it saves on training's ReLU and one-hot zeros.
   void (*micro4x16)(const float* a, int64_t rs, int64_t cs, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, const int32_t* ks, int64_t n);
+                    float* c, int64_t ldc, int64_t kc);
 };
 
 /// The active table. First call probes the CPU (honoring DUET_FORCE_ISA)

@@ -153,10 +153,9 @@ TEST(TiledGemm, DxFollowsTheFourLaneOrder) {
 /// [rows, cols] values in 4-row quads (quad_rows) or 4-column quads
 /// (!quad_rows). At each position along the other axis a quad is either all
 /// zero or "on", and quad q is on at exactly kOnShares[q % 6] / 64 of any 64
-/// consecutive positions: none, sparse, half, and shares just below and
-/// above GemmTiled's 3/4 list cut-off, up to fully on. Entries of an on quad
-/// are random, about a fifth of them exact zeros, so partly-zero quads occur
-/// too.
+/// consecutive positions: none, sparse, half, mostly, up to fully on.
+/// Entries of an on quad are random, about a fifth of them exact zeros, so
+/// partly-zero quads occur too.
 Tensor QuadSparse(int64_t rows, int64_t cols, bool quad_rows, Rng& rng) {
   constexpr int64_t kOnShares[] = {0, 8, 32, 44, 52, 64};
   Tensor t = Tensor::Zeros({rows, cols});
@@ -171,14 +170,14 @@ Tensor QuadSparse(int64_t rows, int64_t cols, bool quad_rows, Rng& rng) {
   return t;
 }
 
-TEST(TiledGemm, QuadSkipIsBitwiseOnEveryOperandView) {
-  // The micro-kernel walks a whole k panel for dense quads and the list of
-  // nonzero k for sparse ones; both leave out only exact-zero products, so
-  // every view must match its reference bit for bit: the forward (A
-  // row-major, quads of batch rows) and dW (A read transposed, quads of
-  // input features, k = batch) against the scalar reference, and dX (the
-  // output gradient read with k-stride 4 per lane, plus lane 0's tail)
-  // against the plain four-lane loop. Shapes are ragged in M % 4 and
+TEST(TiledGemm, ZeroTermsAreBitwiseOnEveryOperandView) {
+  // The micro-kernel multiplies every zero of A while the scalar reference
+  // skips them; with finite operands the two differ only by exact-zero
+  // products, so every view must match its reference bit for bit: the
+  // forward (A row-major, quads of batch rows) and dW (A read transposed,
+  // quads of input features, k = batch) against the scalar reference, and
+  // dX (the output gradient read with k-stride 4 per lane, plus lane 0's
+  // tail) against the plain four-lane loop. Shapes are ragged in M % 4 and
   // N % 16, cross the 256-deep k panel on both the forward's and dW's
   // reduction axis, and give dX every L % 4.
   struct Shape {
