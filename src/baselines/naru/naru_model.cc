@@ -121,8 +121,7 @@ Tensor NaruModel::DataLoss(const std::vector<int64_t>& anchor_rows, uint64_t see
   }
   const Tensor x = EncodeCodes(inputs, b);
   const Tensor logits = made_->Forward(x);
-  const Tensor logp = tensor::LogSoftmaxBlocks(logits, made_->output_blocks());
-  return tensor::NllLossBlocks(logp, made_->output_blocks(), labels);
+  return tensor::CrossEntropyBlocks(logits, made_->output_blocks(), labels);
 }
 
 double NaruModel::EstimateSelectivity(const query::Query& query, Rng& rng) const {

@@ -93,8 +93,7 @@ Tensor DuetModel::ForwardLogits(const Tensor& x) const { return net_->Forward(x)
 Tensor DuetModel::DataLoss(const VirtualBatch& batch) const {
   const Tensor x = EncodeVirtualBatch(batch);
   const Tensor logits = ForwardLogits(x);
-  const Tensor logp = tensor::LogSoftmaxBlocks(logits, net_->output_blocks());
-  return tensor::NllLossBlocks(logp, net_->output_blocks(), batch.labels);
+  return tensor::CrossEntropyBlocks(logits, net_->output_blocks(), batch.labels);
 }
 
 

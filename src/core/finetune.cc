@@ -12,14 +12,27 @@ namespace duet::core {
 
 namespace {
 
+/// The model's Q-error on every query of a workload, from one batched
+/// forward (bitwise the per-query answers: the batch-invariance contract).
+std::vector<double> QErrors(const DuetModel& model, const query::Workload& workload) {
+  std::vector<query::Query> queries;
+  queries.reserve(workload.size());
+  for (const query::LabeledQuery& lq : workload) queries.push_back(lq.query);
+  const std::vector<double> sels = model.EstimateSelectivityBatch(queries);
+  const double rows = static_cast<double>(model.table().num_rows());
+  std::vector<double> errors;
+  errors.reserve(sels.size());
+  for (size_t i = 0; i < sels.size(); ++i) {
+    const double est = std::max(1.0, sels[i] * rows);
+    errors.push_back(query::QError(est, static_cast<double>(workload[i].cardinality)));
+  }
+  return errors;
+}
+
 /// Mean and max Q-error of the model over a workload.
 std::pair<double, double> Score(const DuetModel& model, const query::Workload& workload) {
   double sum = 0.0, mx = 0.0;
-  const int64_t rows = model.table().num_rows();
-  for (const query::LabeledQuery& lq : workload) {
-    const double est = std::max(1.0, model.EstimateSelectivity(lq.query) *
-                                         static_cast<double>(rows));
-    const double err = query::QError(est, static_cast<double>(lq.cardinality));
+  for (const double err : QErrors(model, workload)) {
     sum += err;
     mx = std::max(mx, err);
   }
@@ -32,13 +45,10 @@ query::Workload CollectHighErrorQueries(const DuetModel& model, const query::Wor
                                         const FineTuneOptions& options) {
   DUET_CHECK_GT(options.qerror_threshold, 1.0);
   DUET_CHECK_GT(options.max_queries, 0);
-  const int64_t rows = model.table().num_rows();
+  const std::vector<double> qerrors = QErrors(model, served);
   std::vector<std::pair<double, size_t>> errors;  // (qerror, index)
   for (size_t i = 0; i < served.size(); ++i) {
-    const double est = std::max(1.0, model.EstimateSelectivity(served[i].query) *
-                                         static_cast<double>(rows));
-    const double err = query::QError(est, static_cast<double>(served[i].cardinality));
-    if (err > options.qerror_threshold) errors.emplace_back(err, i);
+    if (qerrors[i] > options.qerror_threshold) errors.emplace_back(qerrors[i], i);
   }
   std::sort(errors.begin(), errors.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });

@@ -59,8 +59,7 @@ MultiPredBatch DuetMpsnModel::EncodeQueries(const std::vector<query::Query>& que
 Tensor DuetMpsnModel::DataLoss(const MultiPredBatch& batch) const {
   const Tensor emb = embedder_->Embed(batch, encoder_);
   const Tensor logits = made_->Forward(emb);
-  const Tensor logp = tensor::LogSoftmaxBlocks(logits, made_->output_blocks());
-  return tensor::NllLossBlocks(logp, made_->output_blocks(), batch.labels);
+  return tensor::CrossEntropyBlocks(logits, made_->output_blocks(), batch.labels);
 }
 
 Tensor DuetMpsnModel::SelectivityBatch(const std::vector<query::Query>& queries) const {

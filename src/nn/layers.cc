@@ -35,8 +35,7 @@ Tensor Linear::Forward(const Tensor& x, tensor::Activation act) const {
 }
 
 MaskedLinear::MaskedLinear(int64_t in, int64_t out, Tensor mask, Rng& rng)
-    : mask_(std::move(mask)) {
-  DUET_CHECK_EQ(mask_.ndim(), 2);
+    : mask_(std::move(mask)), layout_(tensor::BuildMaskLayout(mask_)) {
   DUET_CHECK_EQ(mask_.dim(0), in);
   DUET_CHECK_EQ(mask_.dim(1), out);
   const float bound = 1.0f / std::sqrt(static_cast<float>(in));
@@ -57,7 +56,7 @@ tensor::Tensor MaskedLinear::EffectiveWeightCopy() const {
 }
 
 Tensor MaskedLinear::Forward(const Tensor& x, tensor::Activation act) const {
-  return tensor::MaskedMatMulBiasAct(x, w_, mask_, b_, act);
+  return tensor::MaskedMatMulBiasAct(x, w_, layout_, b_, act);
 }
 
 Mlp::Mlp(const std::vector<int64_t>& sizes, Rng& rng)

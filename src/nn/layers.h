@@ -51,7 +51,8 @@ class Linear : public Module {
 /// (the MADE connectivity constraint): y = x (W o M) + b.
 ///
 /// Forward is one fused graph node (tensor::MaskedMatMulBiasAct): W trains
-/// through the mask, which takes no gradient. Inference never calls it: the
+/// through the mask, which takes no gradient, and the node's GEMMs skip the
+/// mask's structural zeros through a tensor::MaskLayout built once here. Inference never calls it: the
 /// owning Made compiles its no-grad forward into a plan that packs
 /// EffectiveWeightCopy() once per (backend, parameter version) — see
 /// nn/made.h and nn/inference_plan.h.
@@ -76,6 +77,7 @@ class MaskedLinear : public Module {
   tensor::Tensor w_;
   tensor::Tensor b_;
   tensor::Tensor mask_;  // constant
+  std::shared_ptr<const tensor::MaskLayout> layout_;  // mask_'s training tiles
 };
 
 /// Plain ReLU MLP; `sizes` = {in, h1, ..., out}. No activation after the

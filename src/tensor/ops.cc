@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "tensor/packed_weights.h"
 #include "tensor/simd_dispatch.h"
 
 namespace duet::tensor {
@@ -66,20 +68,23 @@ void CheckBlocksTile(const std::vector<BlockSpec>& blocks, int64_t d) {
 // C += A x B with B:[K,N] and C:[M,N] dense row-major, and A:[M,K] a strided
 // view: element (r, k) is A[r * rs + k * cs]. The forward reads A row-major
 // (rs = K, cs = 1), dW reads its activations transposed (rs = 1, cs = their
-// row length) and dX reads each lane of the output gradient with k-stride 4,
-// all in place.
+// row length) and dX reads the output gradient, all in place.
 // The tiled kernel splits C into kMc x kNc task blocks (2-D parallel split),
 // walks K in kKc panels so the B panel and C block stay cache-resident, and
-// bottoms out in a branch-free 4x16 register-blocked micro-kernel. For every
-// C element the accumulation order is k-ascending regardless of tile
-// placement, so results do not depend on the batch size or thread count.
+// bottoms out in a branch-free 4x16 register-blocked micro-kernel that walks
+// a k list: the identity list here, and a mask's static live-k list in the
+// masked training layer below. Ragged edges (M % 4 rows, N % 16 columns) run
+// through the same kernel on a zero-padded local copy. For every C element
+// the accumulation order is k-ascending regardless of tile placement, so
+// results do not depend on the batch size or thread count.
 //
-// Zero terms. A product with an exact-zero A element is +-0.0f, and adding
-// it to a finite accumulator that is never -0.0 (C starts at +0, and IEEE
-// sums of finite terms cannot produce -0) leaves it bitwise unchanged. So
-// the tiled kernel keeps every term while the GEMV and the scalar reference
-// skip zeros, and all three agree bitwise. This is exact only for finite
-// B: a kept zero times an infinite or NaN B element is NaN.
+// Zero terms. A product with an exact-zero factor is +-0.0f, and adding it
+// to a finite accumulator that is never -0.0 (C starts at +0, and IEEE sums
+// of finite terms cannot produce -0) leaves it bitwise unchanged. So the
+// tiled kernel keeps every zero A term, the GEMV and the scalar reference
+// skip them, the masked layer leaves out the terms its mask zeroes, and all
+// of them agree bitwise. This is exact only for finite operands: a zero
+// times an infinite or NaN element is NaN.
 
 std::atomic<bool> g_use_scalar_kernels{false};
 
@@ -94,19 +99,22 @@ inline bool GemmParallel(int64_t m, int64_t k, int64_t n) {
   return m * k * n > (1 << 18);
 }
 
+inline int64_t RoundUp(int64_t n, int64_t m) { return (n + m - 1) / m * m; }
+
+/// The identity k list 0, 1, ..., kKc - 1: what unmasked GEMMs pass the
+/// micro-kernel for one k panel.
+const int32_t* IdentityKs() {
+  static const std::vector<int32_t> ks = [] {
+    std::vector<int32_t> v(static_cast<size_t>(kKc));
+    std::iota(v.begin(), v.end(), 0);
+    return v;
+  }();
+  return ks.data();
+}
+
 // The 4x16 micro-tile body lives in simd_kernels.inc (compiled per ISA
 // tier) and is reached through the runtime dispatch table, as is the fp32
-// axpy that the ragged-edge tail and the zero-skip GEMV bottom out in.
-
-/// Ragged-edge tile (mr < 4 or nr < 16) over one k panel; same k order.
-inline void MicroTail(const simd::KernelTable& kt, const float* a, int64_t rs, int64_t cs,
-                      const float* b, int64_t ldb, float* c, int64_t ldc, int64_t mr,
-                      int64_t nr, int64_t kc) {
-  for (int64_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    for (int64_t k = 0; k < kc; ++k) kt.axpy_f32(a[i * rs + k * cs], b + k * ldb, crow, nr);
-  }
-}
+// axpy that the zero-skip GEMV bottoms out in.
 
 /// Single-row zero-skip GEMV: C[0,:] += A[0,:] x B, A[0,k] = A[k * cs].
 /// Batch-1 serving is weight-traffic-bound, and Duet's row is sparse
@@ -137,31 +145,66 @@ void GemmTiled(const float* A, int64_t rs, int64_t cs, const float* B, float* C,
     return;
   }
   const simd::KernelTable& kt = simd::Kernels();
+  const int32_t* ks = IdentityKs();
   const int64_t row_blocks = (M + kMc - 1) / kMc;
   const int64_t col_blocks = (N + kNc - 1) / kNc;
   ParallelForChunked(
       0, row_blocks * col_blocks,
       [&](int64_t lo, int64_t hi) {
+        // Ragged edges: the row tail's A rows and the column tail's B
+        // columns, zero-padded to a full tile, and the C tile they update.
+        float a_pad[kMr * kKc];
+        float b_pad[kKc * kNr];
+        float c_pad[kMr * kNr];
         for (int64_t t = lo; t < hi; ++t) {
           const int64_t m0 = (t / col_blocks) * kMc, m1 = std::min(M, m0 + kMc);
           const int64_t n0 = (t % col_blocks) * kNc, n1 = std::min(N, n0 + kNc);
+          const int64_t n_full = n0 + (n1 - n0) / kNr * kNr;
           for (int64_t k0 = 0; k0 < K; k0 += kKc) {
             const int64_t kc = std::min(kKc, K - k0);
             const float* bp = B + k0 * N;
-            int64_t i = m0;
-            for (; i + kMr <= m1; i += kMr) {
-              const float* ap = A + i * rs + k0 * cs;
-              int64_t j = n0;
-              for (; j + kNr <= n1; j += kNr) {
-                kt.micro4x16(ap, rs, cs, bp + j, N, C + i * N + j, N, kc);
-              }
-              if (j < n1) {
-                MicroTail(kt, ap, rs, cs, bp + j, N, C + i * N + j, N, kMr, n1 - j, kc);
+            if (n_full < n1) {
+              for (int64_t k = 0; k < kc; ++k) {
+                for (int64_t j = 0; j < kNr; ++j) {
+                  b_pad[k * kNr + j] = n_full + j < n1 ? bp[k * N + n_full + j] : 0.0f;
+                }
               }
             }
-            if (i < m1) {
-              MicroTail(kt, A + i * rs + k0 * cs, rs, cs, bp + n0, N, C + i * N + n0, N, m1 - i,
-                        n1 - n0, kc);
+            for (int64_t i = m0; i < m1; i += kMr) {
+              const int64_t mr = std::min(kMr, m1 - i);
+              const float* ap = A + i * rs + k0 * cs;
+              int64_t ars = rs, acs = cs;
+              if (mr < kMr) {
+                for (int64_t r = 0; r < kMr; ++r) {
+                  for (int64_t k = 0; k < kc; ++k) {
+                    a_pad[r * kc + k] = r < mr ? ap[r * rs + k * cs] : 0.0f;
+                  }
+                }
+                ap = a_pad;
+                ars = kc;
+                acs = 1;
+              }
+              for (int64_t j = n0; j < n1; j += kNr) {
+                float* cp = C + i * N + j;
+                if (mr == kMr && j < n_full) {
+                  kt.micro4x16(ap, ars, acs, ks, kc, bp + j, N, cp, N);
+                  continue;
+                }
+                const int64_t nr = std::min(kNr, n1 - j);
+                for (int64_t r = 0; r < kMr; ++r) {
+                  for (int64_t c = 0; c < kNr; ++c) {
+                    c_pad[r * kNr + c] = r < mr && c < nr ? cp[r * N + c] : 0.0f;
+                  }
+                }
+                if (j < n_full) {
+                  kt.micro4x16(ap, ars, acs, ks, kc, bp + j, N, c_pad, kNr);
+                } else {
+                  kt.micro4x16(ap, ars, acs, ks, kc, b_pad, kNr, c_pad, kNr);
+                }
+                for (int64_t r = 0; r < mr; ++r) {
+                  for (int64_t c = 0; c < nr; ++c) cp[r * N + c] = c_pad[r * kNr + c];
+                }
+              }
             }
           }
         }
@@ -199,6 +242,117 @@ inline void GemmAccum(const float* A, int64_t rs, int64_t cs, const float* B, fl
   }
 }
 
+/// Runs fn(m0, m1, t0, t1) for every task block of a tiled [M, 16 * tiles]
+/// result: rows [m0, m1) by 16-column tiles [t0, t1), the 2-D split of
+/// GemmTiled's task blocks. Row blocks start at multiples of 4.
+template <typename Fn>
+void ForEachTaskBlock(int64_t M, int64_t tiles, bool parallel, const Fn& fn) {
+  constexpr int64_t kTilesPerBlock = kNc / kNr;
+  const int64_t row_blocks = (M + kMc - 1) / kMc;
+  const int64_t tile_blocks = (tiles + kTilesPerBlock - 1) / kTilesPerBlock;
+  ParallelForChunked(
+      0, row_blocks * tile_blocks,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t) {
+          const int64_t m0 = (t / tile_blocks) * kMc, t0 = (t % tile_blocks) * kTilesPerBlock;
+          fn(m0, std::min(M, m0 + kMc), t0, std::min(tiles, t0 + kTilesPerBlock));
+        }
+      },
+      parallel, /*grain=*/1);
+}
+
+/// A[M, lda]'s last, ragged row quad as a zero-padded [4, lda] copy (empty
+/// when M % 4 == 0), so the micro-kernel can read the row tail as a full quad.
+Tensor RowTail(const float* A, int64_t lda, int64_t M) {
+  const int64_t m4 = M / kMr * kMr;
+  if (m4 == M) return Tensor();
+  Tensor tail = Scratch(kMr * lda, /*zeroed=*/true);
+  std::copy(A + m4 * lda, A + M * lda, tail.data());
+  return tail;
+}
+
+/// Zeroes the 4x16 tile at c (row stride ldc): where a masked GEMM tile
+/// starts.
+inline void ZeroTile(float* c, int64_t ldc) {
+  for (int64_t r = 0; r < kMr; ++r) std::fill(c + r * ldc, c + r * ldc + kNr, 0.0f);
+}
+
+/// Lane lists of the four-lane dot order over a reduction of length L (see
+/// GemmDotAccum): lane j takes k = j, j + 4, ... below L & ~3, and lane 0
+/// then takes the tail. Calls visit(j, k) in that order.
+template <typename Visit>
+void ForEachLaneTerm(int64_t L, const Visit& visit) {
+  const int64_t l4 = L / 4 * 4;
+  for (int64_t j = 0; j < 4; ++j) {
+    for (int64_t k = j; k < l4; k += 4) visit(j, k);
+    if (j == 0) {
+      for (int64_t k = l4; k < L; ++k) visit(j, k);
+    }
+  }
+}
+
+/// The tiled four-lane dot: for every 16-wide tile t of C's packed columns
+/// and lane j, the lane sum over A(m, ks[q]) x panel(q, :) for the tile's
+/// list q in [ptr[4t+j], ptr[4t+j+1]), each lane started from zero; then
+/// C[m, cols[p]] += ((l0 + l1) + l2) + l3 for packed column p of the tile
+/// (cols == nullptr: C column p). A is [M, lda] row-major and `a_tail` its
+/// last row quad, zero-padded when M % 4 != 0. Panels hold 16 floats per
+/// list entry, zero past column n.
+void LaneDotTiles(const float* A, int64_t lda, int64_t M, const float* a_tail,
+                  const int32_t* ptr, const int32_t* ks, const float* panels,
+                  const int32_t* cols, int64_t n, float* C, bool parallel) {
+  const simd::KernelTable& kt = simd::Kernels();
+  ForEachTaskBlock(M, (n + kNr - 1) / kNr, parallel, [&](int64_t m0, int64_t m1, int64_t t0,
+                                                          int64_t t1) {
+    float lane[4][kMr * kNr];
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t nr = std::min(kNr, n - t * kNr);
+      for (int64_t i = m0; i < m1; i += kMr) {
+        const float* ap = i + kMr <= M ? A + i * lda : a_tail;
+        for (int64_t j = 0; j < 4; ++j) {
+          const int64_t q0 = ptr[4 * t + j], q1 = ptr[4 * t + j + 1];
+          std::fill(lane[j], lane[j] + kMr * kNr, 0.0f);
+          kt.micro4x16(ap, lda, 1, ks + q0, q1 - q0, panels + q0 * kNr, kNr, lane[j], kNr);
+        }
+        for (int64_t r = 0; r < std::min(kMr, M - i); ++r) {
+          float* crow = C + (i + r) * n;
+          for (int64_t c = 0; c < nr; ++c) {
+            const int64_t e = r * kNr + c;
+            const int64_t p = t * kNr + c;
+            crow[cols != nullptr ? cols[p] : p] +=
+                ((lane[0][e] + lane[1][e]) + lane[2][e]) + lane[3][e];
+          }
+        }
+      }
+    }
+  });
+}
+
+/// Fills the 16-wide panels of a tiled list layout: panel row q of tile t
+/// holds value(p, q) for the tile's packed columns p < n, zeros past them.
+/// ptr[tile * per_tile] .. ptr[(tile + 1) * per_tile] spans the tile's lists.
+template <typename Value>
+Tensor PackPanels(const std::vector<int32_t>& ptr, int64_t per_tile, int64_t n,
+                  bool parallel, const Value& value) {
+  Tensor panels = Scratch(static_cast<int64_t>(ptr.back()) * kNr, /*zeroed=*/false);
+  float* pp = panels.data();
+  const int64_t tiles = (n + kNr - 1) / kNr;
+  ParallelForChunked(
+      0, tiles,
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t) {
+          const int64_t nr = std::min(kNr, n - t * kNr);
+          for (int64_t q = ptr[t * per_tile]; q < ptr[(t + 1) * per_tile]; ++q) {
+            float* row = pp + q * kNr;
+            for (int64_t c = 0; c < nr; ++c) row[c] = value(t * kNr + c, q);
+            for (int64_t c = nr; c < kNr; ++c) row[c] = 0.0f;
+          }
+        }
+      },
+      parallel, /*grain=*/1);
+  return panels;
+}
+
 /// Dot-form accumulate: C[m,n] += dot(A_m, B_n) over the contiguous last
 /// axis; A:[M,L], B:[N,L], C:[M,N]. This is dX += dY x W^T with W:[N,L].
 ///
@@ -208,52 +362,33 @@ inline void GemmAccum(const float* A, int64_t rs, int64_t cs, const float* B, fl
 /// ascending order, lane 0 then adding the tail k = L4..L-1, and the lanes
 /// combined as ((l0 + l1) + l2) + l3 before the dot is added to C. It is
 /// spelled out here rather than left to the vectorizer, so every build sums
-/// in this order. Each lane is a k-ascending sum, i.e. a GEMM over that
-/// lane's columns: it runs through GemmTiled reading A in place with
-/// k-stride 4, against a de-interleaved copy of that lane's rows of B^T, and
-/// lane 0's tail is a second stride-1 GEMM into the same lane sum, so the
-/// order is unchanged and trained parameters stay bitwise what that loop
-/// produced. Each task owns a band of C rows.
+/// in this order. Each lane is a k-ascending sum over its own k list, so
+/// every 16-column tile of C runs four micro-kernel walks, one per lane
+/// list, against panels of B^T packed per lane; the order is unchanged and
+/// trained parameters stay bitwise what that loop produced. The masked
+/// layer runs the same tiles with shorter, mask-live lists.
 void GemmDotAccum(const float* A, const float* B, float* C, int64_t M, int64_t N, int64_t L,
                   bool parallel) {
-  constexpr int64_t kLanes = 4;
-  constexpr int64_t kRowsPerTask = 32;
-  const int64_t body = L / kLanes;  // columns per lane below L4
-  const int64_t l4 = body * kLanes;
-  Tensor bt_lane[kLanes], sum[kLanes];
-  for (int64_t j = 0; j < kLanes; ++j) {
-    // Lane j's rows of B^T in summation order: j, j+4, ..., then lane 0's tail.
-    const int64_t len = body + (j == 0 ? L - l4 : 0);
-    bt_lane[j] = Scratch(len * N, /*zeroed=*/false);
-    sum[j] = Scratch(M * N, /*zeroed=*/true);
-    float* bp = bt_lane[j].data();
-    for (int64_t n = 0; n < N; ++n) {
-      for (int64_t i = 0; i < len; ++i) {
-        bp[i * N + n] = B[n * L + (i < body ? i * kLanes + j : l4 + (i - body))];
-      }
+  const int64_t tiles = (N + kNr - 1) / kNr;
+  std::vector<int32_t> lane_ks[4];
+  ForEachLaneTerm(L, [&](int64_t j, int64_t k) {
+    lane_ks[j].push_back(static_cast<int32_t>(k));
+  });
+  // Every tile walks the same four lists; the panels are per tile.
+  std::vector<int32_t> ptr = {0}, ks;
+  ks.reserve(static_cast<size_t>(tiles * L));
+  for (int64_t t = 0; t < tiles; ++t) {
+    for (const std::vector<int32_t>& lk : lane_ks) {
+      ks.insert(ks.end(), lk.begin(), lk.end());
+      ptr.push_back(static_cast<int32_t>(ks.size()));
     }
   }
-  ParallelForChunked(
-      0, (M + kRowsPerTask - 1) / kRowsPerTask,
-      [&](int64_t lo, int64_t hi) {
-        const int64_t m0 = lo * kRowsPerTask, m1 = std::min(M, hi * kRowsPerTask);
-        if (body > 0) {
-          for (int64_t j = 0; j < kLanes; ++j) {
-            GemmTiled(A + m0 * L + j, L, kLanes, bt_lane[j].data(), sum[j].data() + m0 * N,
-                      m1 - m0, body, N, /*parallel=*/false);
-          }
-        }
-        if (l4 < L) {
-          GemmTiled(A + m0 * L + l4, L, 1, bt_lane[0].data() + body * N, sum[0].data() + m0 * N,
-                    m1 - m0, L - l4, N, /*parallel=*/false);
-        }
-        const float* p0 = sum[0].data();
-        const float* p1 = sum[1].data();
-        const float* p2 = sum[2].data();
-        const float* p3 = sum[3].data();
-        for (int64_t i = m0 * N; i < m1 * N; ++i) C[i] += ((p0[i] + p1[i]) + p2[i]) + p3[i];
-      },
-      parallel, /*grain=*/1);
+  const Tensor panels = PackPanels(ptr, 4, N, parallel, [&](int64_t p, int64_t q) {
+    return B[p * L + ks[static_cast<size_t>(q)]];
+  });
+  const Tensor tail = RowTail(A, L, M);
+  LaneDotTiles(A, L, M, tail.defined() ? tail.data() : nullptr, ptr.data(), ks.data(),
+               panels.data(), nullptr, N, C, parallel);
 }
 
 /// Scalar-reference dX: the original dot loop (no omp simd reduction), used
@@ -296,44 +431,102 @@ void GemmAtBAccum(const float* A, const float* G, float* C, int64_t M, int64_t K
   GemmAccum(A, /*rs=*/1, /*cs=*/K, G, C, K, M, N, parallel);
 }
 
-/// Shared fused bias+activation epilogue over [B, O] rows. One pass adds the
-/// bias and applies the activation while the output rows are still
-/// cache-hot. Rows are independent, so it splits across the pool exactly
-/// like the GEMM without changing any numerics. Both MatMulBiasAct and the
-/// raw compiled-plan path run THIS function, so their epilogue math is
-/// structurally identical (bitwise-equality across the two paths never
-/// depends on matching codegen of two copies).
-void BiasActRows(float* cp, const float* bp, int64_t b, int64_t o, Activation act,
-                 bool parallel) {
+/// One row of the fused bias+activation epilogue: dst[c] = act(x(c) +
+/// bp[c]) with x(c) = src[cols[c]] (kGather) or src[c].
+template <bool kGather>
+void BiasActRow(const float* src, const int32_t* cols, float* dst, const float* bp, int64_t o,
+                Activation act) {
+  const auto x = [&](int64_t c) { return kGather ? src[cols[c]] : src[c]; };
+  switch (act) {
+    case Activation::kNone:
+#pragma omp simd
+      for (int64_t c = 0; c < o; ++c) dst[c] = x(c) + bp[c];
+      break;
+    case Activation::kRelu:
+#pragma omp simd
+      for (int64_t c = 0; c < o; ++c) {
+        const float v = x(c) + bp[c];
+        dst[c] = v > 0.0f ? v : 0.0f;
+      }
+      break;
+    case Activation::kSigmoid:
+      for (int64_t c = 0; c < o; ++c) dst[c] = 1.0f / (1.0f + std::exp(-(x(c) + bp[c])));
+      break;
+    case Activation::kTanh:
+      for (int64_t c = 0; c < o; ++c) dst[c] = std::tanh(x(c) + bp[c]);
+      break;
+  }
+}
+
+/// Shared fused bias+activation epilogue over [B, O] rows: dst row r gets
+/// act(src[r * lds + col] + bias) with col = cols[c] (the masked layer's
+/// packed-to-natural gather) or c (cols == nullptr; then src may be dst, in
+/// place). Rows are independent, so it splits across the pool exactly like
+/// the GEMM without changing any numerics. MatMulBiasAct, the masked layer
+/// and the raw compiled-plan path all run THIS function, so their epilogue
+/// math is structurally identical (bitwise-equality across the paths never
+/// depends on matching codegen of several copies).
+void BiasActRows(const float* src, int64_t lds, const int32_t* cols, float* dst,
+                 const float* bp, int64_t b, int64_t o, Activation act, bool parallel) {
   ParallelForChunked(
       0, b,
       [&](int64_t lo, int64_t hi) {
         for (int64_t r = lo; r < hi; ++r) {
-          float* crow = cp + r * o;
-          switch (act) {
-            case Activation::kNone:
-#pragma omp simd
-              for (int64_t c = 0; c < o; ++c) crow[c] += bp[c];
-              break;
-            case Activation::kRelu:
-#pragma omp simd
-              for (int64_t c = 0; c < o; ++c) {
-                const float v = crow[c] + bp[c];
-                crow[c] = v > 0.0f ? v : 0.0f;
-              }
-              break;
-            case Activation::kSigmoid:
-              for (int64_t c = 0; c < o; ++c) {
-                crow[c] = 1.0f / (1.0f + std::exp(-(crow[c] + bp[c])));
-              }
-              break;
-            case Activation::kTanh:
-              for (int64_t c = 0; c < o; ++c) crow[c] = std::tanh(crow[c] + bp[c]);
-              break;
+          if (cols != nullptr) {
+            BiasActRow<true>(src + r * lds, cols, dst + r * o, bp, o, act);
+          } else {
+            BiasActRow<false>(src + r * lds, nullptr, dst + r * o, bp, o, act);
           }
         }
       },
       parallel, /*grain=*/8);
+}
+
+/// Gradient w.r.t. the pre-activation from the output gradient g and the
+/// output y (every activation derivative here is expressible from y, so no
+/// pre-activation is retained).
+template <Activation kAct>
+inline float PreActGrad(float g, float y) {
+  switch (kAct) {
+    case Activation::kRelu:
+      return y > 0.0f ? g : 0.0f;
+    case Activation::kSigmoid:
+      return g * y * (1.0f - y);
+    case Activation::kTanh:
+      return g * (1.0f - y * y);
+    case Activation::kNone:
+      break;
+  }
+  return g;
+}
+
+/// dst[c] = the pre-activation gradient at element cols[c] of g and y (or at
+/// element c when cols == nullptr), for c < n.
+template <Activation kAct>
+void PreActGradRowT(const float* g, const float* y, const int32_t* cols, float* dst, int64_t n) {
+  if (cols == nullptr) {
+    for (int64_t c = 0; c < n; ++c) dst[c] = PreActGrad<kAct>(g[c], y[c]);
+  } else {
+    for (int64_t c = 0; c < n; ++c) dst[c] = PreActGrad<kAct>(g[cols[c]], y[cols[c]]);
+  }
+}
+
+void PreActGradRow(Activation act, const float* g, const float* y, const int32_t* cols,
+                   float* dst, int64_t n) {
+  switch (act) {
+    case Activation::kNone:
+      PreActGradRowT<Activation::kNone>(g, y, cols, dst, n);
+      break;
+    case Activation::kRelu:
+      PreActGradRowT<Activation::kRelu>(g, y, cols, dst, n);
+      break;
+    case Activation::kSigmoid:
+      PreActGradRowT<Activation::kSigmoid>(g, y, cols, dst, n);
+      break;
+    case Activation::kTanh:
+      PreActGradRowT<Activation::kTanh>(g, y, cols, dst, n);
+      break;
+  }
 }
 
 }  // namespace
@@ -368,11 +561,8 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
 
 namespace {
 
-/// act(a x w_eff + bias), where w_eff is w itself or, given a mask, W o M
-/// written into a scratch buffer. The one implementation behind
-/// MatMulBiasAct and MaskedMatMulBiasAct.
-Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Tensor& bias,
-                  Activation act) {
+/// act(a x w + bias): MatMulBiasAct.
+Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
   DUET_CHECK_EQ(a.ndim(), 2);
   DUET_CHECK_EQ(w.ndim(), 2);
   DUET_CHECK_EQ(bias.ndim(), 1);
@@ -381,70 +571,27 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Te
   DUET_CHECK_EQ(o, bias.dim(0));
   const bool track = TrackGrad({&a, &w, &bias});
   Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl(), bias.impl()}, /*zeroed=*/true);
-  Tensor w_eff = w;
-  if (mask != nullptr) {
-    DUET_CHECK_EQ(mask->numel(), w.numel());
-    const int64_t n = w.numel();
-    w_eff = Scratch(n, /*zeroed=*/false);
-    const float* wp = w.data();
-    const float* mp = mask->data();
-    float* ep = w_eff.data();
-    for (int64_t i = 0; i < n; ++i) ep[i] = wp[i] * mp[i];
-  }
   float* cp = out.data();
   const bool par = GemmParallel(b, i_dim, o);
-  GemmAccum(a.data(), i_dim, 1, w_eff.data(), cp, b, i_dim, o, par);
-  BiasActRows(cp, bias.data(), b, o, act, par);
+  GemmAccum(a.data(), i_dim, 1, w.data(), cp, b, i_dim, o, par);
+  BiasActRows(cp, o, nullptr, cp, bias.data(), b, o, act, par);
   if (track) {
     TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get();
     TensorImpl* bi = bias.impl().get(); TensorImpl* oi = out.impl().get();
-    // Neither is a parent, so the closure keeps them alive: the effective
-    // weight dA multiplies by, and the mask the dW epilogue applies.
-    Impl ei = w_eff.impl();
-    Impl mi = mask != nullptr ? mask->impl() : nullptr;
-    out.impl()->backward = [ai, wi, bi, oi, ei, mi, b, i_dim, o, act]() {
+    out.impl()->backward = [ai, wi, bi, oi, b, i_dim, o, act]() {
       const int64_t n = b * o;
       const float* g = oi->grad.data();
       const float* y = oi->value.data();
-      // Gradient w.r.t. the pre-activation; every activation derivative here
-      // is expressible from the output y, so no pre-activation is retained.
       Tensor g_pre;
       const float* gp = g;
       if (act != Activation::kNone) {
         g_pre = Scratch(n, /*zeroed=*/false);
-        float* t = g_pre.data();
-        switch (act) {
-          case Activation::kRelu:
-            for (int64_t i = 0; i < n; ++i) t[i] = y[i] > 0.0f ? g[i] : 0.0f;
-            break;
-          case Activation::kSigmoid:
-            for (int64_t i = 0; i < n; ++i) t[i] = g[i] * y[i] * (1.0f - y[i]);
-            break;
-          case Activation::kTanh:
-            for (int64_t i = 0; i < n; ++i) t[i] = g[i] * (1.0f - y[i] * y[i]);
-            break;
-          case Activation::kNone:
-            break;
-        }
-        gp = t;
+        PreActGradRow(act, g, y, nullptr, g_pre.data(), n);
+        gp = g_pre.data();
       }
       const bool par = GemmParallel(b, i_dim, o);
-      if (float* ga = ai->MutableGrad()) GemmDot(gp, ei->value.data(), ga, b, i_dim, o, par);
-      if (float* gw = wi->MutableGrad()) {
-        if (mi == nullptr) {
-          GemmAtBAccum(ai->value.data(), gp, gw, b, i_dim, o, par);
-        } else {
-          // Epilogue: A^T x G goes to a zeroed scratch and is added in times
-          // the mask — the very sum the composed Mul(w, mask) node's
-          // backward forms — so dW is bitwise the composed one and the mask
-          // takes no gradient.
-          Tensor dw_eff = Scratch(i_dim * o, /*zeroed=*/true);
-          float* d = dw_eff.data();
-          GemmAtBAccum(ai->value.data(), gp, d, b, i_dim, o, par);
-          const float* m = mi->value.data();
-          for (int64_t i = 0; i < i_dim * o; ++i) gw[i] += d[i] * m[i];
-        }
-      }
+      if (float* ga = ai->MutableGrad()) GemmDot(gp, wi->value.data(), ga, b, i_dim, o, par);
+      if (float* gw = wi->MutableGrad()) GemmAtBAccum(ai->value.data(), gp, gw, b, i_dim, o, par);
       if (float* gb = bi->MutableGrad()) {
         for (int64_t r = 0; r < b; ++r) {
           const float* grow = gp + r * o;
@@ -456,15 +603,236 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor* mask, const Te
   return out;
 }
 
+/// The mask-aware layer: act(a x (W o M) + bias) with the three GEMMs of
+/// DenseLayer on W o M, each walking the layout's static live lists (ops.h
+/// MaskLayout). Every element adds the terms of the full sum over W o M in
+/// the same order, minus exact-zero products, so the bits are those of
+/// MatMulBiasAct(a, Mul(w, mask), bias, act) for finite operands; the dW
+/// epilogue adds d * m, the sum the Mul node's backward forms.
+///
+/// Forward: W o M goes straight into one packed panel per 16-wide tile of
+/// degree-sorted outputs, holding only the rows of the tile's live-k list;
+/// each tile starts from zero in a packed [M, 16 * tiles] scratch, and the
+/// bias+activation epilogue gathers it back to natural column order.
+/// Backward: the pre-activation gradient is written in the same packed
+/// order (zero-padded to whole tiles and row quads). dX runs the four-lane
+/// tiles of GemmDotAccum over degree-sorted input tiles, each lane walking
+/// the tile's live outputs. dW computes only the 4x16 tiles (quad of sorted
+/// inputs, gathered from the activations, x packed output tile) that hold
+/// an unmasked entry, each started from zero,
+/// and adds d * m into the gradient inside those tiles only: outside them
+/// every entry is masked, where the full epilogue added d * 0 = +-0, which
+/// leaves the gradient unchanged. Packed rows carry one spare tile, so rows
+/// of a power-of-two width do not fall on the same cache sets.
+Tensor MaskedDenseLayer(const Tensor& a, const Tensor& w,
+                        const std::shared_ptr<const MaskLayout>& layout, const Tensor& bias,
+                        Activation act) {
+  const MaskLayout& lay = *layout;
+  DUET_CHECK_EQ(a.ndim(), 2);
+  DUET_CHECK_EQ(bias.ndim(), 1);
+  const int64_t b = a.dim(0), i_dim = lay.in, o = lay.out;
+  DUET_CHECK_EQ(a.dim(1), i_dim);
+  DUET_CHECK(w.ndim() == 2 && w.dim(0) == i_dim && w.dim(1) == o);
+  DUET_CHECK_EQ(bias.dim(0), o);
+  const bool track = TrackGrad({&a, &w, &bias});
+  Tensor out = MakeResult({b, o}, track, {a.impl(), w.impl(), bias.impl()}, /*zeroed=*/false);
+  const int64_t o_tiles = (o + kNr - 1) / kNr, o_pad = (o_tiles + 1) * kNr;
+  const int64_t b_pad = RoundUp(b, kMr);
+  const bool par = GemmParallel(b, i_dim, o);
+  {
+    const float* wp = w.data();
+    const float* mp = lay.mask.data();
+    const Tensor panels = PackPanels(lay.fwd_ptr, 1, o, par, [&](int64_t p, int64_t q) {
+      const int64_t e = lay.fwd_k[static_cast<size_t>(q)] * o + lay.out_perm[static_cast<size_t>(p)];
+      return wp[e] * mp[e];
+    });
+    const Tensor tail = RowTail(a.data(), i_dim, b);
+    Tensor packed = Scratch(b_pad * o_pad, /*zeroed=*/false);
+    float* cp = packed.data();
+    const simd::KernelTable& kt = simd::Kernels();
+    ForEachTaskBlock(b, o_tiles, par, [&](int64_t m0, int64_t m1, int64_t t0, int64_t t1) {
+      for (int64_t t = t0; t < t1; ++t) {
+        const int32_t q0 = lay.fwd_ptr[static_cast<size_t>(t)];
+        const int32_t q1 = lay.fwd_ptr[static_cast<size_t>(t) + 1];
+        for (int64_t i = m0; i < m1; i += kMr) {
+          const float* ap = i + kMr <= b ? a.data() + i * i_dim : tail.data();
+          float* c = cp + i * o_pad + t * kNr;
+          ZeroTile(c, o_pad);
+          kt.micro4x16(ap, i_dim, 1, lay.fwd_k.data() + q0, q1 - q0, panels.data() + q0 * kNr,
+                       kNr, c, o_pad);
+        }
+      }
+    });
+    BiasActRows(cp, o_pad, lay.out_pos.data(), out.data(), bias.data(), b, o, act, par);
+  }
+  if (track) {
+    TensorImpl* ai = a.impl().get(); TensorImpl* wi = w.impl().get();
+    TensorImpl* bi = bias.impl().get(); TensorImpl* oi = out.impl().get();
+    out.impl()->backward = [ai, wi, bi, oi, layout, b, b_pad, i_dim, o, o_tiles, o_pad, act]() {
+      if (b == 0) return;  // every gradient term is an empty sum
+      const MaskLayout& lay = *layout;
+      const int32_t* perm = lay.out_perm.data();
+      const float* g = oi->grad.data();
+      const float* y = oi->value.data();
+      const float* mp = lay.mask.data();
+      Tensor g_packed = Scratch(b_pad * o_pad, /*zeroed=*/false);
+      float* gp = g_packed.data();
+      for (int64_t r = 0; r < b; ++r) {
+        PreActGradRow(act, g + r * o, y + r * o, perm, gp + r * o_pad, o);
+        std::fill(gp + r * o_pad + o, gp + (r + 1) * o_pad, 0.0f);
+      }
+      std::fill(gp + b * o_pad, gp + b_pad * o_pad, 0.0f);
+      const bool par = GemmParallel(b, i_dim, o);
+      if (float* ga = ai->MutableGrad()) {
+        const float* wp = wi->value.data();
+        const Tensor panels = PackPanels(lay.dx_ptr, 4, i_dim, par, [&](int64_t p, int64_t q) {
+          const int64_t e = lay.in_perm[static_cast<size_t>(p)] * o +
+                            perm[lay.dx_k[static_cast<size_t>(q)]];
+          return wp[e] * mp[e];
+        });
+        LaneDotTiles(gp, o_pad, b, gp + b / kMr * kMr * o_pad, lay.dx_ptr.data(),
+                     lay.dx_k.data(), panels.data(), lay.in_perm.data(), i_dim, ga, par);
+      }
+      if (float* gw = wi->MutableGrad()) {
+        const float* av = ai->value.data();
+        const int32_t* in_perm = lay.in_perm.data();
+        // Live tiles accumulate in packed order across the k panels, then
+        // go into the gradient.
+        Tensor d_packed = Scratch(RoundUp(i_dim, kMr) * o_pad, /*zeroed=*/false);
+        float* d = d_packed.data();
+        const simd::KernelTable& kt = simd::Kernels();
+        const int32_t* ks = IdentityKs();
+        ForEachTaskBlock(i_dim, o_tiles, par, [&](int64_t i0, int64_t i1, int64_t t0, int64_t t1) {
+          // The quad's live tiles in [t0, t1), as [begin, end).
+          const auto live = [&](int64_t q) {
+            const int32_t* end = lay.dw_tile.data() + lay.dw_ptr[static_cast<size_t>(q) + 1];
+            const int32_t* begin = std::lower_bound(
+                lay.dw_tile.data() + lay.dw_ptr[static_cast<size_t>(q)], end, t0);
+            return std::make_pair(begin, std::lower_bound(begin, end, t1));
+          };
+          float a_quad[kKc * kMr];  // sorted input quad q's activations, [k][4]
+          for (int64_t k0 = 0; k0 < b; k0 += kKc) {
+            const int64_t kc = std::min(kKc, b - k0);
+            for (int64_t q = i0 / kMr; q * kMr < i1; ++q) {
+              const auto [begin, end] = live(q);
+              if (begin == end) continue;
+              const int64_t mr = std::min(kMr, i_dim - q * kMr);
+              for (int64_t k = 0; k < kc; ++k) {
+                for (int64_t r = 0; r < kMr; ++r) {
+                  a_quad[k * kMr + r] = r < mr ? av[(k0 + k) * i_dim + in_perm[q * kMr + r]] : 0.0f;
+                }
+              }
+              for (const int32_t* t = begin; t != end; ++t) {
+                float* c = d + q * kMr * o_pad + *t * kNr;
+                if (k0 == 0) ZeroTile(c, o_pad);
+                kt.micro4x16(a_quad, 1, kMr, ks, kc, gp + k0 * o_pad + *t * kNr, o_pad, c, o_pad);
+              }
+            }
+          }
+          for (int64_t q = i0 / kMr; q * kMr < i1; ++q) {
+            const auto [begin, end] = live(q);
+            for (const int32_t* t = begin; t != end; ++t) {
+              const float* c = d + q * kMr * o_pad + *t * kNr;
+              const int32_t* cols = perm + *t * kNr;
+              for (int64_t r = 0; r < std::min(kMr, i_dim - q * kMr); ++r) {
+                const int64_t row = in_perm[q * kMr + r] * o;
+                for (int64_t j = 0; j < std::min(kNr, o - *t * kNr); ++j) {
+                  gw[row + cols[j]] += c[r * o_pad + j] * mp[row + cols[j]];
+                }
+              }
+            }
+          }
+        });
+      }
+      if (float* gb = bi->MutableGrad()) {
+        for (int64_t r = 0; r < b; ++r) {
+          for (int64_t p = 0; p < o; ++p) gb[perm[p]] += gp[r * o_pad + p];
+        }
+      }
+    };
+  }
+  return out;
+}
+
 }  // namespace
 
 Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
-  return DenseLayer(a, w, nullptr, bias, act);
+  return DenseLayer(a, w, bias, act);
 }
 
-Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& mask,
-                           const Tensor& bias, Activation act) {
-  return DenseLayer(a, w, &mask, bias, act);
+std::shared_ptr<const MaskLayout> BuildMaskLayout(const Tensor& mask) {
+  DUET_CHECK_EQ(mask.ndim(), 2);
+  auto lay = std::make_shared<MaskLayout>();
+  const int64_t in = mask.dim(0), out = mask.dim(1);
+  lay->in = in;
+  lay->out = out;
+  lay->mask = mask;
+  const float* m = lay->mask.data();
+  const auto on = [&](int64_t k, int64_t o) { return m[k * out + o] != 0.0f; };
+  // The inference packs' ordering rule (DegreeSortPermutation) for the
+  // outputs, and for the inputs over the transposed mask; {} is identity.
+  const auto order = [](std::vector<int32_t> perm, int64_t n) {
+    if (perm.empty()) {
+      perm.resize(static_cast<size_t>(n));
+      std::iota(perm.begin(), perm.end(), 0);
+    }
+    return perm;
+  };
+  lay->out_perm = order(DegreeSortPermutation(lay->mask), out);
+  std::vector<float> mt(static_cast<size_t>(in * out));
+  for (int64_t k = 0; k < in; ++k) {
+    for (int64_t o = 0; o < out; ++o) mt[static_cast<size_t>(o * in + k)] = m[k * out + o];
+  }
+  lay->in_perm = order(DegreeSortPermutation(Tensor::FromVector({out, in}, std::move(mt))), in);
+  lay->out_pos.resize(static_cast<size_t>(out));
+  for (int64_t p = 0; p < out; ++p) lay->out_pos[static_cast<size_t>(lay->out_perm[p])] = p;
+
+  const auto tile_of = [](const std::vector<int32_t>& perm, int64_t t) {
+    const int64_t p1 = std::min<int64_t>(static_cast<int64_t>(perm.size()), (t + 1) * kNr);
+    return std::vector<int32_t>(perm.begin() + t * kNr, perm.begin() + p1);
+  };
+  lay->fwd_ptr = {0};
+  for (int64_t t = 0; t * kNr < out; ++t) {
+    const std::vector<int32_t> cols = tile_of(lay->out_perm, t);
+    for (int64_t k = 0; k < in; ++k) {
+      if (std::any_of(cols.begin(), cols.end(), [&](int32_t o) { return on(k, o); })) {
+        lay->fwd_k.push_back(static_cast<int32_t>(k));
+      }
+    }
+    lay->fwd_ptr.push_back(static_cast<int32_t>(lay->fwd_k.size()));
+  }
+  lay->dx_ptr = {0};
+  for (int64_t t = 0; t * kNr < in; ++t) {
+    const std::vector<int32_t> rows = tile_of(lay->in_perm, t);
+    int64_t lane = 0;
+    ForEachLaneTerm(out, [&](int64_t j, int64_t o) {
+      for (; lane < j; ++lane) lay->dx_ptr.push_back(static_cast<int32_t>(lay->dx_k.size()));
+      if (std::any_of(rows.begin(), rows.end(), [&](int32_t k) { return on(k, o); })) {
+        lay->dx_k.push_back(lay->out_pos[static_cast<size_t>(o)]);
+      }
+    });
+    for (; lane < 4; ++lane) lay->dx_ptr.push_back(static_cast<int32_t>(lay->dx_k.size()));
+  }
+  lay->dw_ptr = {0};
+  for (int64_t i = 0; i < in; i += kMr) {
+    for (int64_t t = 0; t * kNr < out; ++t) {
+      const std::vector<int32_t> cols = tile_of(lay->out_perm, t);
+      bool live = false;
+      for (int64_t p = i; p < std::min(in, i + kMr); ++p) {
+        const int64_t k = lay->in_perm[static_cast<size_t>(p)];
+        live = live || std::any_of(cols.begin(), cols.end(), [&](int32_t o) { return on(k, o); });
+      }
+      if (live) lay->dw_tile.push_back(static_cast<int32_t>(t));
+    }
+    lay->dw_ptr.push_back(static_cast<int32_t>(lay->dw_tile.size()));
+  }
+  return lay;
+}
+
+Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w,
+                           const std::shared_ptr<const MaskLayout>& layout, const Tensor& bias,
+                           Activation act) {
+  return MaskedDenseLayer(a, w, layout, bias, act);
 }
 
 Tensor AddBias(const Tensor& x, const Tensor& bias) {
@@ -804,83 +1172,63 @@ Tensor SoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
   return out;
 }
 
-Tensor LogSoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks) {
-  DUET_CHECK_EQ(x.ndim(), 2);
-  const int64_t b = x.dim(0), d = x.dim(1);
-  CheckBlocksTile(blocks, d);
-  const bool track = TrackGrad({&x});
-  Tensor out = MakeResult({b, d}, track, {x.impl()}, /*zeroed=*/false);
-  const float* xp = x.data();
-  float* op = out.data();
-  for (int64_t r = 0; r < b; ++r) {
-    for (const BlockSpec& blk : blocks) {
-      const float* xs = xp + r * d + blk.offset;
-      float* os = op + r * d + blk.offset;
-      float mx = xs[0];
-      for (int64_t j = 1; j < blk.len; ++j) mx = std::max(mx, xs[j]);
-      float sum = 0.0f;
-      for (int64_t j = 0; j < blk.len; ++j) sum += std::exp(xs[j] - mx);
-      const float lse = mx + std::log(sum);
-      for (int64_t j = 0; j < blk.len; ++j) os[j] = xs[j] - lse;
-    }
-  }
-  if (track) {
-    TensorImpl* xi = x.impl().get(); TensorImpl* oi = out.impl().get();
-    std::vector<BlockSpec> blks = blocks;
-    out.impl()->backward = [xi, oi, blks, b, d]() {
-      const float* g = oi->grad.data();
-      const float* ly = oi->value.data();
-      float* gx = xi->MutableGrad();
-      for (int64_t r = 0; r < b; ++r) {
-        for (const BlockSpec& blk : blks) {
-          const float* gs = g + r * d + blk.offset;
-          const float* ls = ly + r * d + blk.offset;
-          float gsum = 0.0f;
-          for (int64_t j = 0; j < blk.len; ++j) gsum += gs[j];
-          float* gxs = gx + r * d + blk.offset;
-          for (int64_t j = 0; j < blk.len; ++j) gxs[j] += gs[j] - std::exp(ls[j]) * gsum;
-        }
-      }
-    };
-  }
-  return out;
-}
-
 Tensor Softmax(const Tensor& x) {
   DUET_CHECK_EQ(x.ndim(), 2);
   return SoftmaxBlocks(x, {{0, x.dim(1)}});
 }
 
-Tensor NllLossBlocks(const Tensor& logp, const std::vector<BlockSpec>& blocks,
-                     const std::vector<int32_t>& targets) {
-  DUET_CHECK_EQ(logp.ndim(), 2);
-  const int64_t b = logp.dim(0), d = logp.dim(1);
+Tensor CrossEntropyBlocks(const Tensor& logits, const std::vector<BlockSpec>& blocks,
+                          const std::vector<int32_t>& targets) {
+  DUET_CHECK_EQ(logits.ndim(), 2);
+  const int64_t b = logits.dim(0), d = logits.dim(1);
   const int64_t n = static_cast<int64_t>(blocks.size());
+  CheckBlocksTile(blocks, d);
   DUET_CHECK_EQ(static_cast<int64_t>(targets.size()), b * n);
-  const bool track = TrackGrad({&logp});
-  Tensor out = MakeResult({1}, track, {logp.impl()}, /*zeroed=*/false);
-  const float* lp = logp.data();
+  const bool track = TrackGrad({&logits});
+  Tensor out = MakeResult({1}, track, {logits.impl()}, /*zeroed=*/false);
+  // One log-sum-exp per (row, block); log p[j] = x[j] - lse.
+  Tensor lse = Scratch(b * n, /*zeroed=*/false);
+  float* lp = lse.data();
+  const float* xp = logits.data();
   double loss = 0.0;
   for (int64_t r = 0; r < b; ++r) {
     for (int64_t k = 0; k < n; ++k) {
+      const BlockSpec& blk = blocks[static_cast<size_t>(k)];
+      const float* xs = xp + r * d + blk.offset;
+      float mx = xs[0];
+      for (int64_t j = 1; j < blk.len; ++j) mx = std::max(mx, xs[j]);
+      float sum = 0.0f;
+      for (int64_t j = 0; j < blk.len; ++j) sum += std::exp(xs[j] - mx);
+      lp[r * n + k] = mx + std::log(sum);
       const int32_t t = targets[static_cast<size_t>(r * n + k)];
       DUET_CHECK_GE(t, 0);
-      DUET_CHECK_LT(t, blocks[static_cast<size_t>(k)].len);
-      loss -= lp[r * d + blocks[static_cast<size_t>(k)].offset + t];
+      DUET_CHECK_LT(t, blk.len);
+      loss -= xs[t] - lp[r * n + k];
     }
   }
   out.data()[0] = static_cast<float>(loss / static_cast<double>(b));
   if (track) {
-    TensorImpl* li = logp.impl().get(); TensorImpl* oi = out.impl().get();
+    TensorImpl* xi = logits.impl().get(); TensorImpl* oi = out.impl().get();
+    Impl li = lse.impl();
     std::vector<BlockSpec> blks = blocks;
     std::vector<int32_t> tgt = targets;
-    out.impl()->backward = [li, oi, blks, tgt, b, d, n]() {
-      const float g = oi->grad[0] / static_cast<float>(b);
-      float* gl = li->MutableGrad();
+    out.impl()->backward = [xi, oi, li, blks, tgt, b, d, n]() {
+      // The log-prob gradient is -g/B at the target and 0 elsewhere, so its
+      // block sum is exactly gt: the softmax term is p[j] * gt.
+      const float gt = 0.0f - oi->grad[0] / static_cast<float>(b);
+      const float* xv = xi->value.data();
+      const float* lv = li->value.data();
+      float* gx = xi->MutableGrad();
       for (int64_t r = 0; r < b; ++r) {
         for (int64_t k = 0; k < n; ++k) {
+          const BlockSpec& blk = blks[static_cast<size_t>(k)];
+          const float* xs = xv + r * d + blk.offset;
+          const float l = lv[r * n + k];
           const int32_t t = tgt[static_cast<size_t>(r * n + k)];
-          gl[r * d + blks[static_cast<size_t>(k)].offset + t] -= g;
+          float* gxs = gx + r * d + blk.offset;
+          for (int64_t j = 0; j < blk.len; ++j) {
+            gxs[j] += (j == t ? gt : 0.0f) - std::exp(xs[j] - l) * gt;
+          }
         }
       }
     };
@@ -1161,12 +1509,12 @@ void RawMatMulBiasAct(const float* a, const float* w, const float* bias, int64_t
   std::fill(out, out + m * n, 0.0f);
   const bool par = GemmParallel(m, k, n);
   GemmAccum(a, k, 1, w, out, m, k, n, par);
-  BiasActRows(out, bias, m, n, act, par);
+  BiasActRows(out, n, nullptr, out, bias, m, n, act, par);
 }
 
 void RawBiasAct(float* c, const float* bias, int64_t b, int64_t o, Activation act,
                 bool parallel) {
-  BiasActRows(c, bias, b, o, act, parallel);
+  BiasActRows(c, o, nullptr, c, bias, b, o, act, parallel);
 }
 
 }  // namespace duet::tensor

@@ -10,6 +10,7 @@
 #define DUET_TENSOR_OPS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -45,15 +46,48 @@ enum class Activation : int32_t {
 /// activation buffers). a:[B,I], w:[I,O], bias:[O].
 Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act);
 
-/// Fused masked dense layer: act(a x (w o mask) + bias), where `mask` is a
-/// constant [I,O] tensor (the MADE connectivity mask). Bitwise equal to
-/// MatMulBiasAct(a, Mul(w, mask), bias, act) in the output and in the
-/// gradients of a, w and bias, but it adds one graph node instead of two:
-/// W o M is written into a scratch buffer (step-scoped under a
-/// TrainingScope) and the mask is applied to dW as it is accumulated, so the
-/// mask takes no gradient.
-Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& mask,
-                           const Tensor& bias, Activation act);
+/// Static tiling of a constant 0/1 [in, out] mask (a MADE connectivity
+/// mask) for the mask-aware training GEMMs of MaskedMatMulBiasAct. Built
+/// once per MaskedLinear, since the mask never changes. Outputs are sorted
+/// by degree with the inference packs' rule (DegreeSortPermutation) and cut
+/// into 16-wide tiles; inputs likewise over the transposed mask. Each tile
+/// keeps the ascending list of terms where any of its columns is unmasked,
+/// so the micro-kernel walks only those, in the order the full sum adds
+/// them. A layout whose order is already degree-monotone stores the
+/// identity order.
+struct MaskLayout {
+  int64_t in = 0;
+  int64_t out = 0;
+  Tensor mask;  // [in, out], shared with the layer
+  /// Packed output p is column out_perm[p]; column o sits at out_pos[o].
+  std::vector<int32_t> out_perm, out_pos;
+  /// Packed input p is input in_perm[p].
+  std::vector<int32_t> in_perm;
+  /// Forward: output tile t reads inputs fwd_k[fwd_ptr[t] .. fwd_ptr[t+1]).
+  std::vector<int32_t> fwd_ptr, fwd_k;
+  /// dX: input tile t, lane j (GemmDotAccum's four-lane order) reads the
+  /// packed output positions dx_k[dx_ptr[4t+j] .. dx_ptr[4t+j+1]).
+  std::vector<int32_t> dx_ptr, dx_k;
+  /// dW: quad q of packed inputs (in_perm[4q .. 4q+3]) holds unmasked
+  /// entries in the output tiles dw_tile[dw_ptr[q] .. dw_ptr[q+1])
+  /// (ascending).
+  std::vector<int32_t> dw_ptr, dw_tile;
+};
+
+/// Builds the layout of an [in, out] 0/1 mask.
+std::shared_ptr<const MaskLayout> BuildMaskLayout(const Tensor& mask);
+
+/// Fused masked dense layer: act(a x (w o mask) + bias), with the constant
+/// mask given by its layout. Bitwise equal to MatMulBiasAct(a, Mul(w,
+/// mask), bias, act) in the output and in the gradients of a, w and bias
+/// for finite operands, but it adds one graph node instead of two, the mask
+/// takes no gradient, and the forward, dX and dW GEMMs skip the mask's
+/// structural zeros (they are exact zeros, and each kept term is added in
+/// its original order). SetUseScalarKernels does not apply to it; its
+/// reference is the composed form above under the scalar kernels.
+Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w,
+                           const std::shared_ptr<const MaskLayout>& layout, const Tensor& bias,
+                           Activation act);
 
 /// Raw-buffer fused dense layer for the no-autograd execution layer (packed
 /// weights / compiled inference plans): overwrites out[m*n] with
@@ -112,17 +146,17 @@ Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int32_t>& idx);
 /// must tile the row: ascending, contiguous and covering [0, D).
 Tensor SoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks);
 
-/// Row-wise log-softmax over each block independently; same block rule.
-Tensor LogSoftmaxBlocks(const Tensor& x, const std::vector<BlockSpec>& blocks);
-
 /// Full-row softmax (single block).
 Tensor Softmax(const Tensor& x);
 
-/// Mean over batch of the summed per-block negative log-likelihood:
-///   (1/B) * sum_b sum_n -logp[b, blocks[n].offset + targets[b*N+n]].
-/// This is the L_data cross-entropy of both Duet and Naru.
-Tensor NllLossBlocks(const Tensor& logp, const std::vector<BlockSpec>& blocks,
-                     const std::vector<int32_t>& targets);
+/// Block cross-entropy, the L_data loss of Duet and Naru: the mean over
+/// rows of the summed per-block negative log-likelihood,
+///   (1/B) * sum_b sum_n -log_softmax_n(logits[b])[targets[b*N+n]],
+/// with the log-softmax taken over each block on its own (blocks tile the
+/// row as in SoftmaxBlocks). It keeps one log-sum-exp per (row, block), and
+/// its backward writes the logits gradient in one pass.
+Tensor CrossEntropyBlocks(const Tensor& logits, const std::vector<BlockSpec>& blocks,
+                          const std::vector<int32_t>& targets);
 
 /// out[b,n] = sum_{j in block n} p[b,j]*mask[b,j]; `mask` is a constant
 /// tensor (no gradient). This is Algorithm 3's "zero-out" step.

@@ -2,7 +2,7 @@
 //
 // Every kernel in ops.cc / packed_weights.cc bottoms out in a handful of
 // per-row primitive sweeps (axpy over fp32 / int8 / int4 weight rows, plus
-// the 4x16 GEMM micro-tile). Historically those loops were compiled
+// the 4x16 GEMM micro-tile over a k list). Historically those loops were compiled
 // once at the translation unit's baseline ISA: a portable build
 // (`DUET_NATIVE_ARCH=OFF`, the CI/default configuration) ran them at
 // SSE2-width scalar speed, and only a `-march=native` build saw AVX2/AVX-512
@@ -77,16 +77,23 @@ struct KernelTable {
   /// column order). int4 dequant is in-kernel: the per-group scale cannot
   /// be deferred to the per-output epilogue.
   void (*axpy_i4)(float av, const uint8_t* nib, const float* gs, float* c, int64_t n);
-  /// Full 4x16 register-blocked GEMM micro-tile over one k panel:
-  /// C[0..4,0..16) += A(:, k) x B(k, :) for k = 0..kc, k-ascending,
-  /// branch-free. A is a strided view, A(r, k) = a[r*rs + k*cs], so the
-  /// forward (rs = lda, cs = 1), dW's transposed operand (rs = 1,
-  /// cs = lda) and dX's lane operand (cs = 4) are read without a copy.
-  /// Zero A values are multiplied like any other: leaving them out would
-  /// give the same bits for finite operands, and a per-k zero test costs
+  /// Full 4x16 register-blocked GEMM micro-tile over an ascending k list:
+  /// C[0..4,0..16) += A(:, ks[i]) x B(i, :) for i = 0..nk, branch-free.
+  /// A is a strided view, A(r, k) = a[r*rs + k*cs], so the forward
+  /// (rs = lda, cs = 1), dW's transposed operand (rs = 1, cs = lda) and
+  /// dX's packed gradient are read without a copy; B holds one 16-wide row
+  /// per list entry. Unmasked GEMMs pass the identity list over a dense B
+  /// panel. Masked training layers (tensor::MaskLayout) sort a MADE mask's
+  /// columns by degree with the inference packs' rule
+  /// (DegreeSortPermutation) and pass, per 16-column tile, the fixed list
+  /// of k where any column is unmasked, against a panel of just those rows
+  /// of W o M; callers start each such tile from zero. Every element still
+  /// adds its terms k-ascending with mul+add, so the bits are those of the
+  /// full sum for finite operands (the left-out terms are exact zeros).
+  /// Zero A values are multiplied like any other: a per-k zero test costs
   /// more than it saves on training's ReLU and one-hot zeros.
-  void (*micro4x16)(const float* a, int64_t rs, int64_t cs, const float* b, int64_t ldb,
-                    float* c, int64_t ldc, int64_t kc);
+  void (*micro4x16)(const float* a, int64_t rs, int64_t cs, const int32_t* ks, int64_t nk,
+                    const float* b, int64_t ldb, float* c, int64_t ldc);
 };
 
 /// The active table. First call probes the CPU (honoring DUET_FORCE_ISA)

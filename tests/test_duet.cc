@@ -492,17 +492,14 @@ uint64_t ParameterDigest(const DuetModel& model) {
   return h;
 }
 
-TEST(DuetTrainingTest, FixtureDigestIsPinned) {
-  // Training is bitwise-reproducible (docs/architecture.md §1): a few hybrid
-  // steps and one online fine-tune round on a fixed-seed table must land on
-  // these exact parameter bits, on every ISA tier and thread count. A change
-  // to a training kernel that reorders any sum moves the digests; one that
-  // only skips exact-zero products (or stops copying operands) does not.
-#if defined(DUET_NATIVE_ARCH_BUILD) || !defined(__x86_64__)
-  GTEST_SKIP() << "the pinned bits are the portable x86-64 build's: -march=native "
-                  "and every aarch64 build let the compiler contract mul+add into "
-                  "FMA outside the kernels, so they train to their own bits";
-#endif
+// Training is bitwise-reproducible (docs/architecture.md §1): a few hybrid
+// steps and one online fine-tune round on a fixed-seed table must land on
+// pinned parameter bits, on every ISA tier and thread count. A change to a
+// training kernel that reorders any sum moves the digests; one that only
+// skips exact-zero products or structurally masked terms (or stops copying
+// operands) does not. Returns the digests after training and after the round.
+std::pair<uint64_t, uint64_t> FixtureDigests(const std::vector<int64_t>& hidden_sizes,
+                                             bool residual) {
   data::Table t = SmallTable(800, 21);
   query::WorkloadSpec wspec;
   wspec.num_queries = 96;
@@ -515,8 +512,8 @@ TEST(DuetTrainingTest, FixtureDigestIsPinned) {
   const query::Workload holdout = query::WorkloadGenerator(t, wspec).Generate();
 
   DuetModelOptions mopt;
-  mopt.hidden_sizes = {64, 64};
-  mopt.residual = true;
+  mopt.hidden_sizes = hidden_sizes;
+  mopt.residual = residual;
   mopt.seed = 37;
   DuetModel model(t, mopt);
   TrainOptions topt;
@@ -526,15 +523,40 @@ TEST(DuetTrainingTest, FixtureDigestIsPinned) {
   topt.seed = 41;
   topt.train_workload = &train_wl;
   DuetTrainer(model, topt).Train();
-  EXPECT_EQ(ParameterDigest(model), 0x1d3f73361e104738ULL) << std::hex << ParameterDigest(model);
+  const uint64_t trained = ParameterDigest(model);
 
   OnlineUpdateOptions uopt;
   uopt.finetune.qerror_threshold = 1.5;
   uopt.finetune.max_anchor_rows = 256;
   const OnlineUpdateResult tuned = CloneAndFineTune(model, feedback, holdout, uopt);
-  ASSERT_FALSE(tuned.report.collected.empty());
-  EXPECT_EQ(ParameterDigest(*tuned.model), 0x131609bd6fc9d012ULL)
-      << std::hex << ParameterDigest(*tuned.model);
+  EXPECT_FALSE(tuned.report.collected.empty());
+  return {trained, ParameterDigest(*tuned.model)};
+}
+
+#if defined(DUET_NATIVE_ARCH_BUILD) || !defined(__x86_64__)
+#define DUET_SKIP_UNLESS_PORTABLE_X86()                                                   \
+  GTEST_SKIP() << "the pinned bits are the portable x86-64 build's: -march=native "       \
+                  "and every aarch64 build let the compiler contract mul+add into "       \
+                  "FMA outside the kernels, so they train to their own bits"
+#else
+#define DUET_SKIP_UNLESS_PORTABLE_X86() (void)0
+#endif
+
+TEST(DuetTrainingTest, FixtureDigestIsPinned) {
+  DUET_SKIP_UNLESS_PORTABLE_X86();
+  const auto [trained, tuned] = FixtureDigests({64, 64}, /*residual=*/true);
+  EXPECT_EQ(trained, 0x1d3f73361e104738ULL) << std::hex << trained;
+  EXPECT_EQ(tuned, 0x131609bd6fc9d012ULL) << std::hex << tuned;
+}
+
+TEST(DuetTrainingTest, NonResidualFixtureDigestIsPinned) {
+  // A plain masked MLP whose widths are not multiples of 16, so every masked
+  // layer has ragged column tiles and its own mask rule (input blocks into
+  // the >= rule, hidden into hidden, the strict output rule).
+  DUET_SKIP_UNLESS_PORTABLE_X86();
+  const auto [trained, tuned] = FixtureDigests({72, 40}, /*residual=*/false);
+  EXPECT_EQ(trained, 0x6edafc877a867adaULL) << std::hex << trained;
+  EXPECT_EQ(tuned, 0x94779e9d70dc69a1ULL) << std::hex << tuned;
 }
 
 TEST(DuetModelTest, SaveLoadPreservesEstimates) {

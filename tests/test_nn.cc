@@ -262,8 +262,7 @@ TEST(MadeTest, LearnsConditionalDistribution) {
       targets[static_cast<size_t>(r * 2 + 1)] = v;
     }
     adam.ZeroGrad();
-    Tensor loss = tensor::NllLossBlocks(tensor::LogSoftmaxBlocks(made.Forward(x), blocks),
-                                        blocks, targets);
+    Tensor loss = tensor::CrossEntropyBlocks(made.Forward(x), blocks, targets);
     loss.Backward();
     adam.Step();
   }

@@ -231,39 +231,46 @@ TEST(SoftmaxTest, Grad) {
   ExpectGradMatchesNumeric(x, [&] { return SumAll(Mul(SoftmaxBlocks(x, blocks), wts)); });
 }
 
-TEST(LogSoftmaxTest, MatchesLogOfSoftmax) {
+TEST(CrossEntropyTest, MatchesLogOfSoftmax) {
+  // loss = (1/B) sum_b sum_n -log softmax_n(x[b])[t], from the public ops.
   Rng rng(13);
-  Tensor x = RandomTensor({2, 6}, rng, -2, 2, false);
-  std::vector<BlockSpec> blocks = {{0, 6}};
-  Tensor a = LogSoftmaxBlocks(x, blocks);
-  Tensor b = Log(SoftmaxBlocks(x, blocks));
-  for (int64_t i = 0; i < a.numel(); ++i) EXPECT_NEAR(a.data()[i], b.data()[i], 1e-5f);
+  Tensor x = RandomTensor({3, 6}, rng, -2, 2, false);
+  std::vector<BlockSpec> blocks = {{0, 2}, {2, 4}};
+  std::vector<int32_t> targets = {1, 3, 0, 0, 1, 2};
+  Tensor p = SoftmaxBlocks(x, blocks);
+  double want = 0.0;
+  for (int64_t r = 0; r < 3; ++r) {
+    for (int64_t k = 0; k < 2; ++k) {
+      const BlockSpec& blk = blocks[static_cast<size_t>(k)];
+      want -= std::log(p.data()[r * 6 + blk.offset + targets[static_cast<size_t>(r * 2 + k)]]);
+    }
+  }
+  EXPECT_NEAR(CrossEntropyBlocks(x, blocks, targets).item(), want / 3.0, 1e-5);
 }
 
-TEST(LogSoftmaxTest, Grad) {
-  Rng rng(14);
-  Tensor x = RandomTensor({2, 5}, rng, -1, 1, true);
-  std::vector<BlockSpec> blocks = {{0, 3}, {3, 2}};
-  Tensor wts = RandomTensor({2, 5}, rng, 0.1f, 1.0f, false);
-  ExpectGradMatchesNumeric(x, [&] { return SumAll(Mul(LogSoftmaxBlocks(x, blocks), wts)); });
-}
-
-TEST(NllLossTest, PicksTargets) {
-  // logp chosen by hand: loss = -(logp[0, t0] + logp[0, 2 + t1]) with B=1.
-  Tensor logp = Tensor::FromVector({1, 5}, {-1, -2, -3, -4, -5}, false);
+TEST(CrossEntropyTest, PicksTargets) {
+  // Uniform logits: each block contributes log(len) whatever the target.
+  Tensor x = Tensor::FromVector({1, 5}, {3, 3, -1, -1, -1}, false);
   std::vector<BlockSpec> blocks = {{0, 2}, {2, 3}};
-  std::vector<int32_t> targets = {1, 2};  // -> -(-2) - (-5) = 7
-  Tensor loss = NllLossBlocks(logp, blocks, targets);
-  EXPECT_FLOAT_EQ(loss.item(), 7.0f);
+  std::vector<int32_t> targets = {1, 2};
+  EXPECT_FLOAT_EQ(CrossEntropyBlocks(x, blocks, targets).item(), std::log(6.0f));
 }
 
-TEST(NllLossTest, Grad) {
+TEST(CrossEntropyTest, Grad) {
   Rng rng(15);
   Tensor x = RandomTensor({3, 5}, rng, -1, 1, true);
   std::vector<BlockSpec> blocks = {{0, 2}, {2, 3}};
   std::vector<int32_t> targets = {0, 2, 1, 0, 1, 1};
-  ExpectGradMatchesNumeric(
-      x, [&] { return NllLossBlocks(LogSoftmaxBlocks(x, blocks), blocks, targets); });
+  ExpectGradMatchesNumeric(x, [&] { return CrossEntropyBlocks(x, blocks, targets); });
+}
+
+TEST(CrossEntropyTest, GradThroughScaledLoss) {
+  // The upstream gradient is not 1 here, so the backward must scale by it.
+  Rng rng(14);
+  Tensor x = RandomTensor({2, 5}, rng, -1, 1, true);
+  std::vector<BlockSpec> blocks = {{0, 3}, {3, 2}};
+  std::vector<int32_t> targets = {2, 1, 0, 0};
+  ExpectGradMatchesNumeric(x, [&] { return MulScalar(CrossEntropyBlocks(x, blocks, targets), -2.5f); });
 }
 
 TEST(MaskedSumTest, ForwardAndGrad) {

@@ -1,14 +1,18 @@
 // Tiled-GEMM correctness: the register-blocked MatMul / MatMulBiasAct
 // kernels must match the scalar triple-loop reference bitwise in the
 // forward and dW (dX to rounding) on ragged and zero-heavy shapes, dX must
-// follow its documented four-lane order, the per-panel quad skip must be
-// bitwise on every operand view (row-major, transposed, lane-strided), the
-// fused masked layer must equal the composed ops bitwise, NoGradScope must
+// follow its documented four-lane order, zero terms must be bitwise on
+// every operand view (row-major, transposed, lane-strided), the fused
+// masked layer must equal the composed ops bitwise, and its mask-aware
+// GEMMs the full sums, the block cross-entropy must equal the log-softmax
+// and NLL it replaced bit for bit, NoGradScope must
 // be bitwise transparent, ops that skip their output's zero fill must ignore
 // recycled contents, and the tensor arena must reach a zero-allocation
 // steady state for inference and for training steps.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -303,6 +307,180 @@ TEST(FusedMaskedLayer, BitwiseEqualToComposedOps) {
   }
 }
 
+TEST(MaskAwareLayer, ForwardDxDwAreBitwiseTheFullSums) {
+  // The mask-aware layer walks per-tile live lists over degree-sorted
+  // columns and leaves the mask's structural zeros out of all three GEMMs.
+  // Each kept term is added in its original order, so the forward, dW and
+  // db must equal the scalar reference kernels over a Mul(w, mask) node bit
+  // for bit, and dX the plain four-lane loop over W o M. Masks come from BuildMadeMask: input
+  // blocks into hidden units (the >= rule), hidden into hidden, hidden into
+  // output blocks (the strict rule) and a one-column MADE's two masks (all
+  // on, all off). `in` and `out` are not multiples of 16, the forward's K
+  // (in) and dX's K (out) exceed the 256-deep panel in one case each, dW's
+  // K (the batch) in M = 1024, and dX's L = out covers every L % 4.
+  struct Case {
+    const char* name;
+    Tensor mask;
+    Activation act;
+  };
+  using nn::BuildMadeMask;
+  using nn::MadeHiddenDegrees;
+  using nn::MadeInputDegrees;
+  using nn::MadeOutputDegrees;
+  const Case cases[] = {
+      {"input blocks -> hidden",
+       BuildMadeMask(MadeInputDegrees({5, 9, 3, 20}), MadeHiddenDegrees(45, 4), false),
+       Activation::kNone},
+      {"hidden -> hidden",
+       BuildMadeMask(MadeHiddenDegrees(70, 4), MadeHiddenDegrees(46, 4), false),
+       Activation::kRelu},
+      {"hidden -> output blocks",
+       BuildMadeMask(MadeHiddenDegrees(45, 4), MadeOutputDegrees({120, 150, 33}), true),
+       Activation::kNone},
+      {"wide input blocks -> hidden",
+       BuildMadeMask(MadeInputDegrees({100, 150, 50}), MadeHiddenDegrees(36, 3), false),
+       Activation::kRelu},
+      {"one column, input -> hidden",
+       BuildMadeMask(MadeInputDegrees({6}), MadeHiddenDegrees(20, 1), false), Activation::kRelu},
+      {"one column, hidden -> output",
+       BuildMadeMask(MadeHiddenDegrees(20, 1), MadeOutputDegrees({6}), true), Activation::kNone},
+  };
+  Rng rng(37);
+  for (const Case& c : cases) {
+    const int64_t in = c.mask.dim(0), out = c.mask.dim(1);
+    const nn::MaskedLinear layer(in, out, c.mask, rng);
+    for (const int64_t m : {1, 3, 5, 96, 1024}) {
+      SCOPED_TRACE(std::string(c.name) + ", M = " + std::to_string(m));
+      const Tensor x0 = SparseTensor({m, in}, rng, 0.4);
+      const Tensor r = SparseTensor({m, out}, rng, 0.3);
+      auto run = [&](bool reference) {
+        ScalarKernelGuard guard(reference);
+        Tensor x = x0.Clone();
+        x.impl()->requires_grad = true;
+        const Tensor y =
+            reference ? MatMulBiasAct(x, Mul(layer.weight(), layer.mask()), layer.bias(), c.act)
+                      : layer.Forward(x, c.act);
+        SumAll(Mul(y, r)).Backward();
+        return std::make_tuple(y.value_vector(), x.grad_vector(), layer.weight().grad_vector(),
+                               layer.bias().grad_vector());
+      };
+      const auto [y_t, gx_t, gw_t, gb_t] = run(false);
+      const auto [y_s, gx_s, gw_s, gb_s] = run(true);
+      ExpectBitwiseEqual(y_t, y_s, "forward");
+      ExpectBitwiseEqual(gw_t, gw_s, "dW");
+      ExpectBitwiseEqual(gb_t, gb_s, "db");
+      // dX against the four-lane loop over W o M and the pre-activation
+      // gradient.
+      const float* w = layer.weight().data();
+      const float* mk = c.mask.data();
+      const int64_t l4 = out & ~int64_t{3};
+      std::vector<float> dx(static_cast<size_t>(m * in));
+      for (int64_t row = 0; row < m; ++row) {
+        std::vector<float> g(static_cast<size_t>(out));
+        for (int64_t o = 0; o < out; ++o) {
+          const float gv = r.data()[row * out + o];
+          g[static_cast<size_t>(o)] =
+              c.act == Activation::kRelu ? (y_t[static_cast<size_t>(row * out + o)] > 0.0f ? gv : 0.0f)
+                                         : gv;
+        }
+        for (int64_t k = 0; k < in; ++k) {
+          float lane[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+          for (int64_t o = 0; o < out; ++o) {
+            const float term = g[static_cast<size_t>(o)] * (w[k * out + o] * mk[k * out + o]);
+            lane[o < l4 ? o % 4 : 0] += term;
+          }
+          dx[static_cast<size_t>(row * in + k)] = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+        }
+      }
+      ExpectBitwiseEqual(gx_t, dx, "dX");
+    }
+  }
+}
+
+TEST(MaskAwareLayer, LayoutListsExactlyTheLiveTerms) {
+  // Each tile's list holds the k where some column of the tile is unmasked,
+  // ascending; on a MADE mask the degree sort leaves whole tiles out.
+  const Tensor mask = nn::BuildMadeMask(nn::MadeHiddenDegrees(45, 6),
+                                        nn::MadeOutputDegrees({20, 40, 9, 30, 17, 11}), true);
+  const std::shared_ptr<const MaskLayout> lay = BuildMaskLayout(mask);
+  const int64_t in = mask.dim(0), out = mask.dim(1);
+  const float* mk = mask.data();
+  const auto on = [&](int64_t k, int64_t o) { return mk[k * out + o] != 0.0f; };
+  const int64_t tiles = (out + 15) / 16;
+  ASSERT_EQ(static_cast<int64_t>(lay->fwd_ptr.size()), tiles + 1);
+  for (int64_t t = 0; t < tiles; ++t) {
+    std::vector<int32_t> want;
+    for (int64_t k = 0; k < in; ++k) {
+      bool live = false;
+      for (int64_t p = t * 16; p < std::min(out, t * 16 + 16); ++p) live |= on(k, lay->out_perm[p]);
+      if (live) want.push_back(static_cast<int32_t>(k));
+    }
+    const std::vector<int32_t> got(lay->fwd_k.begin() + lay->fwd_ptr[t],
+                                   lay->fwd_k.begin() + lay->fwd_ptr[t + 1]);
+    EXPECT_EQ(got, want) << "output tile " << t;
+  }
+  EXPECT_LT(static_cast<int64_t>(lay->fwd_k.size()), tiles * in);
+  EXPECT_LT(static_cast<int64_t>(lay->dw_tile.size()), ((in + 3) / 4) * tiles);
+  EXPECT_LT(static_cast<int64_t>(lay->dx_k.size()), ((in + 15) / 16) * out);
+  for (int64_t o = 0; o < out; ++o) EXPECT_EQ(lay->out_perm[lay->out_pos[o]], o);
+}
+
+TEST(CrossEntropy, BitwiseEqualToLogSoftmaxThenNll) {
+  // CrossEntropyBlocks against the two ops it replaced, written out here:
+  // the per-block log-softmax values, the NLL mean, and the composed
+  // backward (NLL's -g/B at the target, then log-softmax's
+  // g - exp(logp) * sum(g) per block).
+  Rng rng(41);
+  const std::vector<BlockSpec> blocks = {{0, 5}, {5, 1}, {6, 17}, {23, 4}};
+  const int64_t b = 37, d = 27, n = 4;
+  const Tensor x0 = RandomTensor({b, d}, rng, false);
+  std::vector<int32_t> targets;
+  for (int64_t r = 0; r < b; ++r) {
+    for (const BlockSpec& blk : blocks) {
+      targets.push_back(static_cast<int32_t>(rng.UniformInt(static_cast<uint64_t>(blk.len))));
+    }
+  }
+  const float upstream = 0.75f;
+  Tensor x = x0.Clone();
+  x.impl()->requires_grad = true;
+  const Tensor loss = CrossEntropyBlocks(x, blocks, targets);
+  MulScalar(loss, upstream).Backward();
+
+  std::vector<float> logp(static_cast<size_t>(b * d));
+  double want_loss = 0.0;
+  for (int64_t r = 0; r < b; ++r) {
+    for (const BlockSpec& blk : blocks) {
+      const float* xs = x0.data() + r * d + blk.offset;
+      float mx = xs[0];
+      for (int64_t j = 1; j < blk.len; ++j) mx = std::max(mx, xs[j]);
+      float sum = 0.0f;
+      for (int64_t j = 0; j < blk.len; ++j) sum += std::exp(xs[j] - mx);
+      const float lse = mx + std::log(sum);
+      for (int64_t j = 0; j < blk.len; ++j) logp[static_cast<size_t>(r * d + blk.offset + j)] = xs[j] - lse;
+    }
+    for (int64_t k = 0; k < n; ++k) {
+      want_loss -= logp[static_cast<size_t>(r * d + blocks[static_cast<size_t>(k)].offset +
+                                             targets[static_cast<size_t>(r * n + k)])];
+    }
+  }
+  ExpectBitwiseEqual({loss.item()}, {static_cast<float>(want_loss / static_cast<double>(b))}, "loss");
+  const float g = upstream / static_cast<float>(b);
+  std::vector<float> gl(static_cast<size_t>(b * d), 0.0f), gx(static_cast<size_t>(b * d), 0.0f);
+  for (int64_t r = 0; r < b; ++r) {
+    for (int64_t k = 0; k < n; ++k) {
+      gl[static_cast<size_t>(r * d + blocks[static_cast<size_t>(k)].offset +
+                             targets[static_cast<size_t>(r * n + k)])] -= g;
+    }
+    for (const BlockSpec& blk : blocks) {
+      const size_t o = static_cast<size_t>(r * d + blk.offset);
+      float gsum = 0.0f;
+      for (int64_t j = 0; j < blk.len; ++j) gsum += gl[o + j];
+      for (int64_t j = 0; j < blk.len; ++j) gx[o + j] += gl[o + j] - std::exp(logp[o + j]) * gsum;
+    }
+  }
+  ExpectBitwiseEqual(x.grad_vector(), gx, "dlogits");
+}
+
 TEST(TiledGemm, RowResultsIndependentOfBatchSize) {
   // A query batched with 63 others must see the exact logits it gets alone;
   // this is the invariant the batch-first estimator API relies on.
@@ -372,7 +550,7 @@ TEST(NoGradScopeTest, ArenaReachesZeroAllocSteadyState) {
 
 TEST(TrainingScopeTest, SteadyStateStepAllocatesNothing) {
   // A MADE-shaped training step: masked input and output layers, the
-  // per-block log-softmax + NLL loss, backward and an Adam step.
+  // per-block cross-entropy loss, backward and an Adam step.
   Rng rng(107);
   const std::vector<int64_t> widths = {4, 6, 3};
   const std::vector<int32_t> in_deg = nn::MadeInputDegrees(widths);
@@ -394,7 +572,7 @@ TEST(TrainingScopeTest, SteadyStateStepAllocatesNothing) {
     Tensor x = Tensor::Zeros({b, in});
     std::copy(x0.data(), x0.data() + x0.numel(), x.data());
     const Tensor logits = l2.Forward(l1.Forward(x, Activation::kRelu));
-    NllLossBlocks(LogSoftmaxBlocks(logits, blocks), blocks, targets).Backward();
+    CrossEntropyBlocks(logits, blocks, targets).Backward();
     adam.Step();
     // Constants take no gradient buffer, and op results give theirs back
     // once their own backward has run.
@@ -464,8 +642,7 @@ TEST(TrainingScopeTest, OverwritingOpsIgnoreRecycledContents) {
         ConcatCols({x, y}), ConcatRows({x, y}), SliceCols(x, 2, 3),
         EmbeddingLookup(emb, {2, 0, 2, 1}), SoftmaxBlocks(s, blocks), Softmax(s),
         MaskedSumBlocks(x, mask, blocks), SumCols(s), MeanAll(s), SumAll(s), Select(cond, x, y),
-        Reshape(x, {d, b}), LogSoftmaxBlocks(s, blocks)};
-    out.push_back(NllLossBlocks(out.back(), blocks, targets));
+        Reshape(x, {d, b}), CrossEntropyBlocks(s, blocks, targets)};
     return out;
   };
   std::vector<std::vector<float>> want;
