@@ -331,25 +331,21 @@ void LaneDotTiles(const float* A, int64_t lda, int64_t M, const float* a_tail,
 /// Fills the 16-wide panels of a tiled list layout: panel row q of tile t
 /// holds value(p, q) for the tile's packed columns p < n, zeros past them.
 /// ptr[tile * per_tile] .. ptr[(tile + 1) * per_tile] spans the tile's lists.
+/// One pass over the weights on the calling thread: cheaper than a pool
+/// dispatch at the layer sizes training runs.
 template <typename Value>
 Tensor PackPanels(const std::vector<int32_t>& ptr, int64_t per_tile, int64_t n,
-                  bool parallel, const Value& value) {
+                  const Value& value) {
   Tensor panels = Scratch(static_cast<int64_t>(ptr.back()) * kNr, /*zeroed=*/false);
   float* pp = panels.data();
-  const int64_t tiles = (n + kNr - 1) / kNr;
-  ParallelForChunked(
-      0, tiles,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t t = lo; t < hi; ++t) {
-          const int64_t nr = std::min(kNr, n - t * kNr);
-          for (int64_t q = ptr[t * per_tile]; q < ptr[(t + 1) * per_tile]; ++q) {
-            float* row = pp + q * kNr;
-            for (int64_t c = 0; c < nr; ++c) row[c] = value(t * kNr + c, q);
-            for (int64_t c = nr; c < kNr; ++c) row[c] = 0.0f;
-          }
-        }
-      },
-      parallel, /*grain=*/1);
+  for (int64_t t = 0; t * kNr < n; ++t) {
+    const int64_t nr = std::min(kNr, n - t * kNr);
+    for (int64_t q = ptr[t * per_tile]; q < ptr[(t + 1) * per_tile]; ++q) {
+      float* row = pp + q * kNr;
+      for (int64_t c = 0; c < nr; ++c) row[c] = value(t * kNr + c, q);
+      for (int64_t c = nr; c < kNr; ++c) row[c] = 0.0f;
+    }
+  }
   return panels;
 }
 
@@ -383,7 +379,7 @@ void GemmDotAccum(const float* A, const float* B, float* C, int64_t M, int64_t N
       ptr.push_back(static_cast<int32_t>(ks.size()));
     }
   }
-  const Tensor panels = PackPanels(ptr, 4, N, parallel, [&](int64_t p, int64_t q) {
+  const Tensor panels = PackPanels(ptr, 4, N, [&](int64_t p, int64_t q) {
     return B[p * L + ks[static_cast<size_t>(q)]];
   });
   const Tensor tail = RowTail(A, L, M);
@@ -482,49 +478,31 @@ void BiasActRows(const float* src, int64_t lds, const int32_t* cols, float* dst,
       parallel, /*grain=*/8);
 }
 
-/// Gradient w.r.t. the pre-activation from the output gradient g and the
-/// output y (every activation derivative here is expressible from y, so no
-/// pre-activation is retained).
-template <Activation kAct>
-inline float PreActGrad(float g, float y) {
-  switch (kAct) {
-    case Activation::kRelu:
-      return y > 0.0f ? g : 0.0f;
-    case Activation::kSigmoid:
-      return g * y * (1.0f - y);
-    case Activation::kTanh:
-      return g * (1.0f - y * y);
-    case Activation::kNone:
-      break;
-  }
-  return g;
-}
-
-/// dst[c] = the pre-activation gradient at element cols[c] of g and y (or at
-/// element c when cols == nullptr), for c < n.
-template <Activation kAct>
-void PreActGradRowT(const float* g, const float* y, const int32_t* cols, float* dst, int64_t n) {
-  if (cols == nullptr) {
-    for (int64_t c = 0; c < n; ++c) dst[c] = PreActGrad<kAct>(g[c], y[c]);
-  } else {
-    for (int64_t c = 0; c < n; ++c) dst[c] = PreActGrad<kAct>(g[cols[c]], y[cols[c]]);
-  }
-}
-
+/// dst[c] = the gradient w.r.t. the pre-activation at element cols[c] (or
+/// c when cols == nullptr) of the output gradient g and the output y, for
+/// c < n. Every activation derivative here is expressible from y, so no
+/// pre-activation is retained.
 void PreActGradRow(Activation act, const float* g, const float* y, const int32_t* cols,
                    float* dst, int64_t n) {
+  const auto run = [&](auto grad) {
+    if (cols == nullptr) {
+      for (int64_t c = 0; c < n; ++c) dst[c] = grad(g[c], y[c]);
+    } else {
+      for (int64_t c = 0; c < n; ++c) dst[c] = grad(g[cols[c]], y[cols[c]]);
+    }
+  };
   switch (act) {
     case Activation::kNone:
-      PreActGradRowT<Activation::kNone>(g, y, cols, dst, n);
+      run([](float gv, float) { return gv; });
       break;
     case Activation::kRelu:
-      PreActGradRowT<Activation::kRelu>(g, y, cols, dst, n);
+      run([](float gv, float yv) { return yv > 0.0f ? gv : 0.0f; });
       break;
     case Activation::kSigmoid:
-      PreActGradRowT<Activation::kSigmoid>(g, y, cols, dst, n);
+      run([](float gv, float yv) { return gv * yv * (1.0f - yv); });
       break;
     case Activation::kTanh:
-      PreActGradRowT<Activation::kTanh>(g, y, cols, dst, n);
+      run([](float gv, float yv) { return gv * (1.0f - yv * yv); });
       break;
   }
 }
@@ -559,10 +537,7 @@ Tensor MatMul(const Tensor& a, const Tensor& w) {
   return out;
 }
 
-namespace {
-
-/// act(a x w + bias): MatMulBiasAct.
-Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
+Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
   DUET_CHECK_EQ(a.ndim(), 2);
   DUET_CHECK_EQ(w.ndim(), 2);
   DUET_CHECK_EQ(bias.ndim(), 1);
@@ -604,7 +579,7 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor& bias, Activati
 }
 
 /// The mask-aware layer: act(a x (W o M) + bias) with the three GEMMs of
-/// DenseLayer on W o M, each walking the layout's static live lists (ops.h
+/// MatMulBiasAct on W o M, each walking the layout's static live lists (ops.h
 /// MaskLayout). Every element adds the terms of the full sum over W o M in
 /// the same order, minus exact-zero products, so the bits are those of
 /// MatMulBiasAct(a, Mul(w, mask), bias, act) for finite operands; the dW
@@ -624,9 +599,9 @@ Tensor DenseLayer(const Tensor& a, const Tensor& w, const Tensor& bias, Activati
 /// every entry is masked, where the full epilogue added d * 0 = +-0, which
 /// leaves the gradient unchanged. Packed rows carry one spare tile, so rows
 /// of a power-of-two width do not fall on the same cache sets.
-Tensor MaskedDenseLayer(const Tensor& a, const Tensor& w,
-                        const std::shared_ptr<const MaskLayout>& layout, const Tensor& bias,
-                        Activation act) {
+Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w,
+                           const std::shared_ptr<const MaskLayout>& layout, const Tensor& bias,
+                           Activation act) {
   const MaskLayout& lay = *layout;
   DUET_CHECK_EQ(a.ndim(), 2);
   DUET_CHECK_EQ(bias.ndim(), 1);
@@ -642,7 +617,7 @@ Tensor MaskedDenseLayer(const Tensor& a, const Tensor& w,
   {
     const float* wp = w.data();
     const float* mp = lay.mask.data();
-    const Tensor panels = PackPanels(lay.fwd_ptr, 1, o, par, [&](int64_t p, int64_t q) {
+    const Tensor panels = PackPanels(lay.fwd_ptr, 1, o, [&](int64_t p, int64_t q) {
       const int64_t e = lay.fwd_k[static_cast<size_t>(q)] * o + lay.out_perm[static_cast<size_t>(p)];
       return wp[e] * mp[e];
     });
@@ -685,7 +660,7 @@ Tensor MaskedDenseLayer(const Tensor& a, const Tensor& w,
       const bool par = GemmParallel(b, i_dim, o);
       if (float* ga = ai->MutableGrad()) {
         const float* wp = wi->value.data();
-        const Tensor panels = PackPanels(lay.dx_ptr, 4, i_dim, par, [&](int64_t p, int64_t q) {
+        const Tensor panels = PackPanels(lay.dx_ptr, 4, i_dim, [&](int64_t p, int64_t q) {
           const int64_t e = lay.in_perm[static_cast<size_t>(p)] * o +
                             perm[lay.dx_k[static_cast<size_t>(q)]];
           return wp[e] * mp[e];
@@ -754,12 +729,6 @@ Tensor MaskedDenseLayer(const Tensor& a, const Tensor& w,
   return out;
 }
 
-}  // namespace
-
-Tensor MatMulBiasAct(const Tensor& a, const Tensor& w, const Tensor& bias, Activation act) {
-  return DenseLayer(a, w, bias, act);
-}
-
 std::shared_ptr<const MaskLayout> BuildMaskLayout(const Tensor& mask) {
   DUET_CHECK_EQ(mask.ndim(), 2);
   auto lay = std::make_shared<MaskLayout>();
@@ -768,7 +737,6 @@ std::shared_ptr<const MaskLayout> BuildMaskLayout(const Tensor& mask) {
   lay->out = out;
   lay->mask = mask;
   const float* m = lay->mask.data();
-  const auto on = [&](int64_t k, int64_t o) { return m[k * out + o] != 0.0f; };
   // The inference packs' ordering rule (DegreeSortPermutation) for the
   // outputs, and for the inputs over the transposed mask; {} is identity.
   const auto order = [](std::vector<int32_t> perm, int64_t n) {
@@ -787,53 +755,52 @@ std::shared_ptr<const MaskLayout> BuildMaskLayout(const Tensor& mask) {
   lay->out_pos.resize(static_cast<size_t>(out));
   for (int64_t p = 0; p < out; ++p) lay->out_pos[static_cast<size_t>(lay->out_perm[p])] = p;
 
-  const auto tile_of = [](const std::vector<int32_t>& perm, int64_t t) {
-    const int64_t p1 = std::min<int64_t>(static_cast<int64_t>(perm.size()), (t + 1) * kNr);
-    return std::vector<int32_t>(perm.begin() + t * kNr, perm.begin() + p1);
+  // Whether the mask is on anywhere in rows rs[0 .. nr) x columns cs[0 .. nc).
+  const auto any_on = [&](const int32_t* rs, int64_t nr, const int32_t* cs, int64_t nc) {
+    for (int64_t r = 0; r < nr; ++r) {
+      for (int64_t c = 0; c < nc; ++c) {
+        if (m[rs[r] * out + cs[c]] != 0.0f) return true;
+      }
+    }
+    return false;
+  };
+  // Tile t's slice of a packed order: (first index, count).
+  const auto tile = [](const std::vector<int32_t>& perm, int64_t t, int64_t width) {
+    const int64_t n = static_cast<int64_t>(perm.size());
+    return std::make_pair(perm.data() + t * width, std::min(width, n - t * width));
   };
   lay->fwd_ptr = {0};
   for (int64_t t = 0; t * kNr < out; ++t) {
-    const std::vector<int32_t> cols = tile_of(lay->out_perm, t);
-    for (int64_t k = 0; k < in; ++k) {
-      if (std::any_of(cols.begin(), cols.end(), [&](int32_t o) { return on(k, o); })) {
-        lay->fwd_k.push_back(static_cast<int32_t>(k));
-      }
+    const auto [cs, nc] = tile(lay->out_perm, t, kNr);
+    for (int32_t k = 0; k < in; ++k) {
+      if (any_on(&k, 1, cs, nc)) lay->fwd_k.push_back(k);
     }
     lay->fwd_ptr.push_back(static_cast<int32_t>(lay->fwd_k.size()));
   }
   lay->dx_ptr = {0};
   for (int64_t t = 0; t * kNr < in; ++t) {
-    const std::vector<int32_t> rows = tile_of(lay->in_perm, t);
+    const auto [rs, nr] = tile(lay->in_perm, t, kNr);
     int64_t lane = 0;
     ForEachLaneTerm(out, [&](int64_t j, int64_t o) {
       for (; lane < j; ++lane) lay->dx_ptr.push_back(static_cast<int32_t>(lay->dx_k.size()));
-      if (std::any_of(rows.begin(), rows.end(), [&](int32_t k) { return on(k, o); })) {
-        lay->dx_k.push_back(lay->out_pos[static_cast<size_t>(o)]);
-      }
+      const int32_t o32 = static_cast<int32_t>(o);
+      if (any_on(rs, nr, &o32, 1)) lay->dx_k.push_back(lay->out_pos[static_cast<size_t>(o)]);
     });
     for (; lane < 4; ++lane) lay->dx_ptr.push_back(static_cast<int32_t>(lay->dx_k.size()));
   }
   lay->dw_ptr = {0};
-  for (int64_t i = 0; i < in; i += kMr) {
+  for (int64_t q = 0; q * kMr < in; ++q) {
+    const auto [rs, nr] = tile(lay->in_perm, q, kMr);
     for (int64_t t = 0; t * kNr < out; ++t) {
-      const std::vector<int32_t> cols = tile_of(lay->out_perm, t);
-      bool live = false;
-      for (int64_t p = i; p < std::min(in, i + kMr); ++p) {
-        const int64_t k = lay->in_perm[static_cast<size_t>(p)];
-        live = live || std::any_of(cols.begin(), cols.end(), [&](int32_t o) { return on(k, o); });
-      }
-      if (live) lay->dw_tile.push_back(static_cast<int32_t>(t));
+      const auto [cs, nc] = tile(lay->out_perm, t, kNr);
+      if (any_on(rs, nr, cs, nc)) lay->dw_tile.push_back(static_cast<int32_t>(t));
     }
     lay->dw_ptr.push_back(static_cast<int32_t>(lay->dw_tile.size()));
   }
   return lay;
 }
 
-Tensor MaskedMatMulBiasAct(const Tensor& a, const Tensor& w,
-                           const std::shared_ptr<const MaskLayout>& layout, const Tensor& bias,
-                           Activation act) {
-  return MaskedDenseLayer(a, w, layout, bias, act);
-}
+
 
 Tensor AddBias(const Tensor& x, const Tensor& bias) {
   DUET_CHECK_EQ(x.ndim(), 2);

@@ -307,15 +307,24 @@ TEST(FusedMaskedLayer, BitwiseEqualToComposedOps) {
   }
 }
 
+/// A [rows, cols] 0/1 mask with about one entry in 20 on: sparse enough
+/// that a 16-column tile of one row is often all off.
+Tensor RandomMask(int64_t rows, int64_t cols, Rng& rng) {
+  Tensor t = Tensor::Zeros({rows, cols});
+  for (int64_t i = 0; i < t.numel(); ++i) t.data()[i] = rng.Bernoulli(0.05) ? 1.0f : 0.0f;
+  return t;
+}
+
 TEST(MaskAwareLayer, ForwardDxDwAreBitwiseTheFullSums) {
   // The mask-aware layer walks per-tile live lists over degree-sorted
   // columns and leaves the mask's structural zeros out of all three GEMMs.
   // Each kept term is added in its original order, so the forward, dW and
   // db must equal the scalar reference kernels over a Mul(w, mask) node bit
-  // for bit, and dX the plain four-lane loop over W o M. Masks come from BuildMadeMask: input
-  // blocks into hidden units (the >= rule), hidden into hidden, hidden into
-  // output blocks (the strict rule) and a one-column MADE's two masks (all
-  // on, all off). `in` and `out` are not multiples of 16, the forward's K
+  // for bit, and dX the plain four-lane loop over W o M. Masks come from
+  // BuildMadeMask: input blocks into hidden units (the >= rule), hidden
+  // into hidden, hidden into output blocks (the strict rule) and a
+  // one-column MADE's two masks (all on, all off); a random mask has no
+  // MADE structure. `in` and `out` are not multiples of 16, the forward's K
   // (in) and dX's K (out) exceed the 256-deep panel in one case each, dW's
   // K (the batch) in M = 1024, and dX's L = out covers every L % 4.
   struct Case {
@@ -327,6 +336,7 @@ TEST(MaskAwareLayer, ForwardDxDwAreBitwiseTheFullSums) {
   using nn::MadeHiddenDegrees;
   using nn::MadeInputDegrees;
   using nn::MadeOutputDegrees;
+  Rng mask_rng(43);
   const Case cases[] = {
       {"input blocks -> hidden",
        BuildMadeMask(MadeInputDegrees({5, 9, 3, 20}), MadeHiddenDegrees(45, 4), false),
@@ -344,6 +354,7 @@ TEST(MaskAwareLayer, ForwardDxDwAreBitwiseTheFullSums) {
        BuildMadeMask(MadeInputDegrees({6}), MadeHiddenDegrees(20, 1), false), Activation::kRelu},
       {"one column, hidden -> output",
        BuildMadeMask(MadeHiddenDegrees(20, 1), MadeOutputDegrees({6}), true), Activation::kNone},
+      {"random mask", RandomMask(41, 53, mask_rng), Activation::kRelu},
   };
   Rng rng(37);
   for (const Case& c : cases) {
