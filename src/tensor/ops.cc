@@ -186,7 +186,8 @@ void GemmTiled(const float* A, int64_t rs, int64_t cs, const float* B, float* C,
               }
               for (int64_t j = n0; j < n1; j += kNr) {
                 float* cp = C + i * N + j;
-                if (mr == kMr && j < n_full) {
+                const bool full_cols = j < n_full;
+                if (mr == kMr && full_cols) {
                   kt.micro4x16(ap, ars, acs, ks, kc, bp + j, N, cp, N);
                   continue;
                 }
@@ -196,11 +197,8 @@ void GemmTiled(const float* A, int64_t rs, int64_t cs, const float* B, float* C,
                     c_pad[r * kNr + c] = r < mr && c < nr ? cp[r * N + c] : 0.0f;
                   }
                 }
-                if (j < n_full) {
-                  kt.micro4x16(ap, ars, acs, ks, kc, bp + j, N, c_pad, kNr);
-                } else {
-                  kt.micro4x16(ap, ars, acs, ks, kc, b_pad, kNr, c_pad, kNr);
-                }
+                kt.micro4x16(ap, ars, acs, ks, kc, full_cols ? bp + j : b_pad,
+                             full_cols ? N : kNr, c_pad, kNr);
                 for (int64_t r = 0; r < mr; ++r) {
                   for (int64_t c = 0; c < nr; ++c) cp[r * N + c] = c_pad[r * kNr + c];
                 }
